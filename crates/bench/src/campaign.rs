@@ -229,7 +229,11 @@ impl CampaignSpec {
                     if let Some(m) = metrics {
                         m.started.inc();
                     }
-                    let outcome = run_variant(variant, i, trace);
+                    let outcome = if trace {
+                        run_windowed(variant, TRACE_WINDOW, None, Some(i))
+                    } else {
+                        run_one(variant)
+                    };
                     if let Some(m) = metrics {
                         match outcome.verdict() {
                             "crash" => m.crash.inc(),
@@ -263,16 +267,77 @@ impl CampaignSpec {
     }
 }
 
+/// Sim-time window between trace drains on a traced campaign run.
+const TRACE_WINDOW: SimDuration = SimDuration::from_millis(250);
+
+/// Runs exactly one variant to completion — the unit of work the
+/// multi-process orchestrator (`cd-orch`) hands to a worker. Identical
+/// to what [`CampaignSpec::run`] executes per variant (minus tracing),
+/// so a worker-produced [`CampaignOutcome::jsonl_record`] is
+/// byte-for-byte what the in-process campaign produces for the same
+/// variant.
+pub fn run_one(variant: &Variant) -> CampaignOutcome {
+    run_windowed(variant, variant.config.duration, None, None)
+}
+
+/// [`run_one`] advanced in fixed sim-time windows, invoking `progress`
+/// after every window with the current sim time. The result is
+/// byte-identical to [`run_one`]'s — the equivalence is pinned by a test
+/// below. Workers use the callback to emit liveness heartbeats (and,
+/// under fault injection, to die or stall mid-run) without perturbing
+/// the deterministic outcome.
+pub fn run_one_windowed(
+    variant: &Variant,
+    window: SimDuration,
+    progress: &mut dyn FnMut(SimTime),
+) -> CampaignOutcome {
+    run_windowed(variant, window, Some(progress), None)
+}
+
+/// The one variant runner: [`Scenario::start`] advanced on the leap
+/// executor in `window`-long sim-time windows. After every window that
+/// advanced, `progress` sees the current sim time. With a `trace`
+/// ordinal the vehicle records into a pre-allocated ring drained after
+/// every window — sim-time drain points, so the JSONL fragment is a
+/// pure function of the variant.
 #[allow(clippy::disallowed_methods)] // wall time is the measurement here
-fn run_variant(variant: &Variant, ord: usize, trace: bool) -> CampaignOutcome {
+fn run_windowed(
+    variant: &Variant,
+    window: SimDuration,
+    mut progress: Option<&mut dyn FnMut(SimTime)>,
+    trace: Option<usize>,
+) -> CampaignOutcome {
     let started = Instant::now();
     let config = variant.config.clone();
     let end = SimTime::ZERO + config.duration;
-    let (result, trace) = if trace {
-        run_variant_traced(config, ord)
-    } else {
-        (Scenario::new(config).run(), Vec::new())
+    let mut run = Scenario::new(config).start();
+    let mut sink = trace.map(|ord| {
+        run.vehicle_mut().obs_port().attach(8192, ord as u32);
+        TraceSink::in_memory()
+    });
+    loop {
+        let before = run.now();
+        run.advance_to_leap(before + window);
+        if let Some((sink, _)) = &mut sink {
+            run.vehicle_mut()
+                .obs_port()
+                .drain(|ev| sink.write_event(ev));
+        }
+        if run.now() == before {
+            break;
+        }
+        if let Some(progress) = &mut progress {
+            progress(run.now());
+        }
+    }
+    let trace = match sink {
+        Some((mut sink, buf)) => {
+            sink.flush();
+            buf.take()
+        }
+        None => Vec::new(),
     };
+    let result = run.finish();
     let from = result.attack_onset.unwrap_or(SimTime::from_secs(2));
     CampaignOutcome {
         label: variant.label.clone(),
@@ -282,78 +347,6 @@ fn run_variant(variant: &Variant, ord: usize, trace: bool) -> CampaignOutcome {
         trace,
         result,
     }
-}
-
-/// Runs exactly one variant to completion — the unit of work the
-/// multi-process orchestrator (`cd-orch`) hands to a worker. Identical
-/// to what [`CampaignSpec::run`] executes per variant (minus tracing),
-/// so a worker-produced [`CampaignOutcome::jsonl_record`] is
-/// byte-for-byte what the in-process campaign produces for the same
-/// variant.
-pub fn run_one(variant: &Variant) -> CampaignOutcome {
-    run_variant(variant, 0, false)
-}
-
-/// [`run_one`] advanced in fixed sim-time windows, invoking `progress`
-/// after every window (and once at the end) with the current sim time.
-///
-/// The window loop runs on the same leap executor as
-/// [`containerdrone_core::runner::Scenario::run`] and the result is
-/// byte-identical to [`run_one`]'s — the equivalence is pinned by a
-/// test below. Workers use the callback to emit liveness heartbeats
-/// (and, under fault injection, to die or stall mid-run) without
-/// perturbing the deterministic outcome.
-#[allow(clippy::disallowed_methods)] // wall time is the measurement here
-pub fn run_one_windowed(
-    variant: &Variant,
-    window: SimDuration,
-    progress: &mut dyn FnMut(SimTime),
-) -> CampaignOutcome {
-    let started = Instant::now();
-    let config = variant.config.clone();
-    let end = SimTime::ZERO + config.duration;
-    let mut run = Scenario::new(config).start();
-    loop {
-        let before = run.now();
-        run.advance_to_leap(before + window);
-        if run.now() == before {
-            break;
-        }
-        progress(run.now());
-    }
-    let result = run.finish();
-    let from = result.attack_onset.unwrap_or(SimTime::from_secs(2));
-    CampaignOutcome {
-        label: variant.label.clone(),
-        seed: result.config.seed,
-        max_deviation: result.max_deviation(from, end),
-        run_time: started.elapsed(),
-        trace: Vec::new(),
-        result,
-    }
-}
-
-/// [`Scenario::run`] with a trace ring attached (ordinal = variant
-/// index), advanced in 250 ms windows on the same leap executor and
-/// drained after each window — sim-time drain points, so the JSONL
-/// fragment is a pure function of the variant.
-fn run_variant_traced(config: ScenarioConfig, ord: usize) -> (ScenarioResult, Vec<u8>) {
-    let mut run = Scenario::new(config).start();
-    run.vehicle_mut().obs_port().attach(8192, ord as u32);
-    let (mut sink, buf) = TraceSink::in_memory();
-    let window = SimDuration::from_millis(250);
-    loop {
-        let before = run.now();
-        run.advance_to_leap(before + window);
-        run.vehicle_mut()
-            .obs_port()
-            .drain(|ev| sink.write_event(ev));
-        if run.now() == before {
-            break;
-        }
-    }
-    sink.flush();
-    (run.finish(), buf.take())
 }
 
 /// One variant's outcome: the headline numbers plus the full result for

@@ -52,7 +52,7 @@ pub enum TraceKind {
     /// jam footprint dropped (rate limit + overflow), `b` = garbage that
     /// got past the limiter. Emitted only when nonzero.
     SwarmWindow,
-    /// The load-balanced partition moved vehicles between shards
+    /// The load balancer moved vehicles between shards
     /// (`ord` = shard, `a` = vehicles in the shard). Wall-clock-driven
     /// and thread-count-dependent — excluded from [`TraceMask::default`].
     ShardRebalance,
@@ -101,8 +101,8 @@ pub struct TraceMask(u16);
 
 impl TraceMask {
     /// Every kind, including the thread-count-dependent shard
-    /// rebalances. Streams written under this mask are only comparable
-    /// between runs of identical thread count and partition.
+    /// rebalances. Streams written under this mask are not byte-comparable
+    /// between runs: the rebalances follow wall-clock cost estimates.
     pub const ALL: TraceMask = TraceMask((1 << TraceKind::COUNT as u16) - 1);
 
     /// The deterministic vocabulary: everything except

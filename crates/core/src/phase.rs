@@ -56,8 +56,8 @@ pub fn uninstall_clock() {
 }
 
 /// The current phase-clock reading, or 0 when no clock is installed.
-/// Public so the fleet executor can bracket its own shared-network and
-/// batch-physics phases with the same clock.
+/// Public so the fleet executor can bracket its own network steps with
+/// the same clock.
 #[inline]
 pub fn now() -> u64 {
     let p = CLOCK.load(Ordering::Relaxed);

@@ -411,20 +411,6 @@ impl VehicleInstance {
         SimTime::from_nanos(t.as_nanos().div_ceil(qn) * qn)
     }
 
-    /// The physical world this vehicle flies in. Fleet batch executors
-    /// read it to gather SoA physics lanes
-    /// ([`uav_dynamics::batch::WorldBatch::enroll`]).
-    pub fn world(&self) -> &World {
-        &self.rt.world
-    }
-
-    /// Mutable access to the physical world, for scattering a
-    /// batch-advanced lane back before observation and
-    /// [`VehicleInstance::post_step`].
-    pub fn world_mut(&mut self) -> &mut World {
-        &mut self.rt.world
-    }
-
     /// One time-leap span: advances through one event-free stretch —
     /// possibly in closed form — then runs the regular quantum tail
     /// (physics catch-up, job dispatch, armed attacks, network delivery)
@@ -439,14 +425,9 @@ impl VehicleInstance {
     /// here only when the span ends *short* of `hard_target`; at the
     /// target the caller observes the vehicle first (fleet snapshots are
     /// taken pre-`post_step`, exactly like the stepped executor) and then
-    /// calls `post_step` itself. With `defer_physics` the at-target,
-    /// event-free case additionally skips the physics catch-up and
-    /// returns [`SpanEnd::AtTargetDeferred`]: the caller owns advancing
-    /// the world to [`VehicleInstance::now`] (e.g. via a SoA
-    /// [`uav_dynamics::batch::WorldBatch`]) before observing. Deferral is
-    /// sound because nothing in the tail below the physics call reads the
-    /// world: job dispatch is skipped (no events), attack arming and
-    /// network stepping never consult physics.
+    /// calls `post_step` itself — see [`SpanEnd`]. The single-vehicle
+    /// runner uses [`VehicleInstance::advance_span`], which folds that
+    /// hand-off away.
     ///
     /// # Equivalence
     ///
@@ -475,7 +456,7 @@ impl VehicleInstance {
     /// A steady flood is per-quantum traffic, which historically forced
     /// one plain step per quantum for the whole attack window. The span
     /// leap stays exact under a flood when every link in this chain is
-    /// provable ([`VehicleInstance::flood_span_target`]):
+    /// provable (`VehicleInstance::flood_span_target`):
     ///
     /// - exactly one armed driver has per-quantum work, and it can replay
     ///   its skipped emissions post-hoc at their historical times
@@ -492,12 +473,7 @@ impl VehicleInstance {
     ///   ([`AttackDriver::span_ready`]), so deferring the queue drain to
     ///   the span-end network step cannot surface a capacity boundary
     ///   the per-quantum schedule would not have hit.
-    fn span_once(
-        &mut self,
-        net: &mut Network,
-        hard_target: SimTime,
-        defer_physics: bool,
-    ) -> SpanEnd {
+    pub fn span_once(&mut self, net: &mut Network, hard_target: SimTime) -> SpanEnd {
         if self.done() {
             return SpanEnd::Done;
         }
@@ -556,13 +532,9 @@ impl VehicleInstance {
                     .record(now, TraceKind::LeapSpan, label, leaped, stepped);
             }
         }
-        let at_target = now >= hard_target;
-        let defer = defer_physics && at_target && self.events.is_empty();
-        if !defer {
-            let t0 = crate::phase::now();
-            self.rt.world.advance_to(now);
-            self.rt.phase_ns[crate::phase::PHYSICS] += crate::phase::now() - t0;
-        }
+        let t0 = crate::phase::now();
+        self.rt.world.advance_to(now);
+        self.rt.phase_ns[crate::phase::PHYSICS] += crate::phase::now() - t0;
         self.rt.trace_skips(&self.events, now);
         for i in 0..self.events.len() {
             if let SchedEvent::JobCompleted { task, .. } = self.events[i] {
@@ -577,12 +549,8 @@ impl VehicleInstance {
             self.on_delivery(d);
         }
         self.rt.phase_ns[crate::phase::NET] += crate::phase::now() - t0;
-        if at_target {
-            if defer {
-                SpanEnd::AtTargetDeferred
-            } else {
-                SpanEnd::AtTarget
-            }
+        if now >= hard_target {
+            SpanEnd::AtTarget
         } else {
             self.post_step();
             SpanEnd::Short
@@ -692,24 +660,14 @@ impl VehicleInstance {
     /// is over, without advancing. The single-vehicle drop-in for the
     /// [`RunningScenario::step`] loop.
     pub fn advance_span(&mut self, net: &mut Network, hard_target: SimTime) -> bool {
-        match self.span_once(net, hard_target, false) {
+        match self.span_once(net, hard_target) {
             SpanEnd::Done => false,
             SpanEnd::Short => true,
             SpanEnd::AtTarget => {
                 self.post_step();
                 true
             }
-            // defer_physics is false.
-            SpanEnd::AtTargetDeferred => unreachable!(),
         }
-    }
-
-    /// One time-leap span with physics deferral for SoA batching — the
-    /// fleet executor's building block. See
-    /// [`VehicleInstance::span_once`] for the protocol each [`SpanEnd`]
-    /// variant imposes on the caller.
-    pub fn advance_span_deferred(&mut self, net: &mut Network, hard_target: SimTime) -> SpanEnd {
-        self.span_once(net, hard_target, true)
     }
 
     /// The structured trace port. Detached by default; attach a ring
@@ -743,9 +701,9 @@ impl VehicleInstance {
 
     /// Credits `ns` wall-nanoseconds to executor phase `phase`
     /// ([`crate::phase`] indices). External steppers (the fleet executor,
-    /// [`RunningScenario::step`]) own the network step and batch-physics
-    /// calls, so they bracket those themselves and book the time here;
-    /// the totals surface in [`ScenarioResult::phase_ns`].
+    /// [`RunningScenario::step`]) own the network step, so they bracket
+    /// it themselves and book the time here; the totals surface in
+    /// [`ScenarioResult::phase_ns`].
     pub fn phase_add(&mut self, phase: usize, ns: u64) {
         self.rt.phase_ns[phase] += ns;
     }
@@ -784,8 +742,8 @@ impl Runtime {
     }
 }
 
-/// How a [`VehicleInstance::advance_span_deferred`] span ended, and what
-/// the caller owes the vehicle before advancing it again.
+/// How a [`VehicleInstance::span_once`] span ended, and what the caller
+/// owes the vehicle before advancing it again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanEnd {
     /// The flight was already over; nothing advanced.
@@ -799,11 +757,6 @@ pub enum SpanEnd {
     /// [`VehicleInstance::post_step`] has **not** run: observe the
     /// vehicle (snapshot), then call it.
     AtTarget,
-    /// Reached the hard target with no pending events; physics catch-up
-    /// was deferred. Advance the world to [`VehicleInstance::now`]
-    /// (e.g. batch-enroll it), then observe, then call
-    /// [`VehicleInstance::post_step`].
-    AtTargetDeferred,
 }
 
 /// The live state of one vehicle. Built by [`assembly`], advanced by

@@ -31,18 +31,17 @@
 //! # Sharded parallel execution
 //!
 //! [`FleetConfig::with_threads`] runs the fleet on a scoped-thread worker
-//! pool: vehicles are assigned to shards by the configured [`Partition`]
-//! — [`Partition::LoadBalanced`] by default, which weighs each vehicle
-//! by its observed per-batch step cost (attacked vehicles are hot) and
-//! spreads the heavy ones across threads — each shard runs its vehicles'
-//! `advance`/`post_step` phases batch-wise up to the next GCS poll
-//! boundary, and the main thread merges the per-vehicle
-//! [`VehicleSnapshot`]s into the shared airspace step (GCS downlink,
-//! swarm broadcast round, attacker turns — in that pinned order).
-//! Because each vehicle's trajectory is a pure function of its own
-//! config and bridge, and the airspace merge order is pinned to vehicle
-//! indices, a parallel run at **any** thread count under **either**
-//! partition is byte-for-byte identical to the serial run — the
+//! pool. The executor has one schedule: every vehicle advances on its
+//! own up to the next GCS poll boundary, then the main thread merges the
+//! per-vehicle [`VehicleSnapshot`]s into the shared airspace step (GCS
+//! downlink, swarm broadcast round, attacker turns — in that pinned
+//! order). Between boundaries, vehicles are assigned to shards
+//! heaviest-first by their observed per-batch step cost (attacked
+//! vehicles are hot), so the heavy ones spread across threads. Because
+//! each vehicle's trajectory is a pure function of its own config and
+//! bridge, and the airspace merge order is pinned to vehicle indices, a
+//! parallel run at **any** thread count and under **any** shard
+//! assignment is byte-for-byte identical to the serial run — the
 //! determinism tests enforce it.
 //!
 //! An N = 1 fleet run remains *byte-for-byte* identical to the classic
@@ -80,7 +79,6 @@ use containerdrone_core::phase;
 use containerdrone_core::runner::{ScenarioResult, SpanEnd, VehicleInstance};
 use containerdrone_core::scenario::ScenarioConfig;
 use sim_core::time::{SimDuration, SimTime};
-use uav_dynamics::batch::WorldBatch;
 use virt_net::net::Network;
 
 pub use airspace::Airspace;
@@ -118,9 +116,6 @@ pub struct FleetConfig {
     /// produces byte-identical reports; more threads only buy wall-clock
     /// time on multicore hosts.
     pub threads: usize,
-    /// How vehicles are assigned to worker threads. Any strategy produces
-    /// byte-identical reports; the choice only moves wall-clock time.
-    pub partition: Partition,
     /// Run on the event-driven time-leap executor (the default). `false`
     /// is the `--no-leap` reference: every quantum runs all four phases.
     /// Both produce byte-identical reports — the adversarial equivalence
@@ -135,25 +130,6 @@ pub struct FleetConfig {
     pub bulk: bool,
 }
 
-/// Shard-assignment strategy for the parallel executor.
-///
-/// The executor's determinism does not depend on the partition — vehicle
-/// work is a pure per-vehicle function and the airspace merge happens in
-/// vehicle-index order regardless — so this is purely a wall-clock knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Partition {
-    /// Contiguous index ranges, one per thread (the PR 4 scheme). Even
-    /// only when per-vehicle cost is even; an attack campaign focused on
-    /// a few victims leaves most threads idle while one grinds.
-    Contiguous,
-    /// Weighs each vehicle by its observed per-batch step cost (EWMA of
-    /// measured wall time) and assigns greedily, heaviest first, to the
-    /// least-loaded thread — attacked vehicles are hot, so they spread
-    /// across threads instead of clustering in one contiguous shard.
-    #[default]
-    LoadBalanced,
-}
-
 impl FleetConfig {
     /// A healthy fleet of `n_vehicles` flying `base`, serial executor.
     pub fn new(base: ScenarioConfig, n_vehicles: usize) -> Self {
@@ -165,7 +141,6 @@ impl FleetConfig {
             swarm: None,
             attacker: AttackerConfig::default(),
             threads: 1,
-            partition: Partition::default(),
             leap: true,
             bulk: true,
         }
@@ -206,13 +181,6 @@ impl FleetConfig {
         self
     }
 
-    /// Sets the shard-assignment strategy.
-    #[must_use]
-    pub fn with_partition(mut self, partition: Partition) -> Self {
-        self.partition = partition;
-        self
-    }
-
     /// Selects the executor: `true` (default) for the event-driven
     /// time-leap executor, `false` for the quantum-stepped reference
     /// (`--no-leap`). Byte-identical either way.
@@ -241,316 +209,178 @@ pub(crate) struct VehicleSlot {
     pub(crate) vehicle: VehicleInstance,
 }
 
-/// Advances one vehicle quantum-by-quantum until it finishes or reaches
-/// `target` (a poll boundary), leaving in `snap` the snapshot the GCS
-/// poll at `target` must see: captured after the vehicle's `advance` for
-/// that quantum, before its `post_step` — the same interleaving the
-/// quantum-stepped serial loop produces.
-fn run_slot_to(slot: &mut VehicleSlot, target: SimTime, snap: &mut VehicleSnapshot) {
-    let VehicleSlot { net, vehicle } = slot;
-    loop {
-        if !vehicle.advance(net) {
-            *snap = VehicleSnapshot::finished(vehicle);
-            return;
-        }
-        let now = vehicle.now();
-        let at_target = now >= target;
-        if at_target {
-            *snap = VehicleSnapshot::of(vehicle);
-        }
-        let t0 = phase::now();
-        let deliveries = net.step(now);
-        for &d in deliveries {
-            vehicle.on_delivery(d);
-        }
-        vehicle.phase_add(phase::NET, phase::now() - t0);
-        vehicle.post_step();
-        if at_target {
-            return;
-        }
-    }
-}
-
-/// Pooled per-worker scratch of the leap executor: the struct-of-arrays
-/// physics batch and the bin-local indices of vehicles whose physics
-/// catch-up was deferred into it. Cleared (capacity kept) after every
-/// poll batch, so steady state allocates nothing.
-#[derive(Default)]
-struct ShardScratch {
-    batch: WorldBatch,
-    pending: Vec<usize>,
-    /// Wall-ns this shard spent in batched physics catch-up — the
-    /// deferred share of the physics phase, booked here because it runs
-    /// outside any vehicle ([`containerdrone_core::phase`] accounting;
-    /// stays zero unless the phase clock is installed).
-    physics_ns: u64,
-}
-
-/// Advances one vehicle span-by-span to `target` (a poll boundary) on
-/// the time-leap executor. Mirrors [`run_slot_to`]'s interleaving
-/// exactly — the snapshot the GCS poll must see is captured after the
-/// at-target machine advance, before that quantum's `post_step` — except
-/// that a vehicle ending its final span event-free defers its physics
-/// catch-up: the caller batches those into `batch` and finishes them via
-/// [`finish_deferred_slot`]. Returns `true` when this vehicle was
-/// deferred (its lane was enrolled in `batch`, its snapshot and
-/// bookkeeping still owed).
-fn run_slot_leap(
-    slot: &mut VehicleSlot,
-    target: SimTime,
-    snap: &mut VehicleSnapshot,
-    batch: &mut WorldBatch,
-) -> bool {
-    let VehicleSlot { net, vehicle } = slot;
-    loop {
-        match vehicle.advance_span_deferred(net, target) {
-            SpanEnd::Done => {
-                *snap = VehicleSnapshot::finished(vehicle);
-                return false;
-            }
-            SpanEnd::Short => {}
-            SpanEnd::AtTarget => {
-                *snap = VehicleSnapshot::of(vehicle);
-                vehicle.post_step();
-                return false;
-            }
-            SpanEnd::AtTargetDeferred => {
-                batch.enroll(vehicle.world(), vehicle.now());
-                return true;
-            }
-        }
-    }
-}
-
-/// Completes a deferred vehicle once its shard's physics batch has
-/// advanced: scatters the lane back into the world, captures the poll
-/// snapshot (physics now current, `post_step` still pending — the same
-/// observation point as the non-deferred paths) and runs the owed
-/// telemetry/crash bookkeeping.
-fn finish_deferred_slot(
-    slot: &mut VehicleSlot,
-    snap: &mut VehicleSnapshot,
-    batch: &WorldBatch,
-    lane: usize,
-) {
-    let vehicle = &mut slot.vehicle;
-    batch.scatter_into(lane, vehicle.world_mut());
-    *snap = VehicleSnapshot::of(vehicle);
-    vehicle.post_step();
-}
-
-/// [`run_slot_leap`] plus the same EWMA cost observation as
-/// [`run_slot_timed`]. The deferred physics cost lands in the batch
-/// advance outside this timer — the estimate only steers
-/// [`Partition::LoadBalanced`], never simulation state, so the skew is
-/// harmless.
+/// Advances one vehicle until it finishes or reaches `target` (a poll
+/// boundary) — span-by-span on the time-leap executor, or
+/// quantum-by-quantum on the stepped reference (`leap == false`) —
+/// leaving in `snap` the snapshot the GCS poll at `target` must see:
+/// captured after the vehicle's advance for that quantum, before its
+/// `post_step`. Both executors stop at the same interleaving point, so
+/// they feed the merge identical snapshots.
+///
+/// Also folds the measured wall time of the call into the vehicle's
+/// cost estimate (EWMA, so the balance follows a rolling victim instead
+/// of averaging over the whole history). The estimate feeds
+/// [`assign_shards`] and nothing else — it never touches simulation
+/// state, so the nondeterminism of wall-clock measurement cannot leak
+/// into the report. Shard membership may differ from run to run, but
+/// the merge step replays deliveries in deterministic order regardless
+/// of which thread produced them, which is exactly what the
+/// cross-thread equivalence pins verify.
 #[allow(clippy::disallowed_methods)] // mirror of the cd-lint allow below
-fn run_slot_leap_timed(
+fn run_slot(
     slot: &mut VehicleSlot,
     target: SimTime,
     snap: &mut VehicleSnapshot,
     cost: &mut f64,
-    batch: &mut WorldBatch,
-) -> bool {
-    // cd-lint: allow(wall_clock) -- cost-only EWMA observation for LPT shard balance; never feeds simulation state or the report
-    let started = Instant::now();
-    let deferred = run_slot_leap(slot, target, snap, batch);
-    let observed = started.elapsed().as_secs_f64();
-    *cost = if *cost == 0.0 {
-        observed
-    } else {
-        0.5 * *cost + 0.5 * observed
-    };
-    deferred
-}
-
-/// [`run_slot_to`] plus cost observation: folds the measured wall time
-/// of this batch into the vehicle's cost estimate (EWMA, so the balance
-/// follows a rolling victim instead of averaging over the whole
-/// history). The estimate feeds [`Partition::LoadBalanced`] and nothing
-/// else — it never touches simulation state, so the nondeterminism of
-/// wall-clock measurement cannot leak into the report. Shard membership
-/// may differ from run to run, but the merge step replays deliveries in
-/// deterministic order regardless of which thread produced them, which
-/// is exactly what the cross-thread equivalence pins verify.
-#[allow(clippy::disallowed_methods)] // mirror of the cd-lint allow below
-fn run_slot_timed(
-    slot: &mut VehicleSlot,
-    target: SimTime,
-    snap: &mut VehicleSnapshot,
-    cost: &mut f64,
-) {
-    // cd-lint: allow(wall_clock) -- cost-only EWMA observation for LPT shard balance; never feeds simulation state or the report
-    let started = Instant::now();
-    run_slot_to(slot, target, snap);
-    let observed = started.elapsed().as_secs_f64();
-    *cost = if *cost == 0.0 {
-        observed
-    } else {
-        0.5 * *cost + 0.5 * observed
-    };
-}
-
-/// Assigns vehicle indices to at most `threads` bins. Contiguous: equal
-/// index ranges. Load-balanced: greedy longest-processing-time — visit
-/// vehicles heaviest-first (by observed cost) and give each to the
-/// currently lightest bin, so a campaign that concentrates attacks on a
-/// few victims spreads those hot vehicles across threads.
-fn assign_shards(costs: &[f64], threads: usize, partition: Partition) -> Vec<Vec<usize>> {
-    let n = costs.len();
-    match partition {
-        Partition::Contiguous => {
-            let shard = n.div_ceil(threads);
-            (0..n)
-                .collect::<Vec<_>>()
-                .chunks(shard)
-                .map(<[usize]>::to_vec)
-                .collect()
-        }
-        Partition::LoadBalanced => {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| {
-                costs[b]
-                    .partial_cmp(&costs[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            let mut loads = vec![0.0f64; threads];
-            let mut bins: Vec<Vec<usize>> = vec![Vec::new(); threads];
-            for i in order {
-                let lightest = loads
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, x), (_, y)| x.total_cmp(y))
-                    .map(|(k, _)| k)
-                    .expect("threads >= 1");
-                bins[lightest].push(i);
-                // A floor keeps all-zero first-round costs spreading
-                // round-robin instead of piling into bin 0.
-                loads[lightest] += costs[i].max(1e-9);
-            }
-            // Ascending index order within a bin: batches stay
-            // cache-friendly and the walk order is reproducible.
-            for bin in &mut bins {
-                bin.sort_unstable();
-            }
-            bins.retain(|b| !b.is_empty());
-            bins
-        }
-    }
-}
-
-/// The executor knobs for one poll-boundary batch: where to stop, how
-/// wide to shard, how to partition, and which executor (leap/stepped)
-/// advances each vehicle.
-#[derive(Clone, Copy)]
-struct ShardPlan {
-    target: SimTime,
-    threads: usize,
-    partition: Partition,
     leap: bool,
+) {
+    // cd-lint: allow(wall_clock) -- cost-only EWMA observation for LPT shard balance; never feeds simulation state or the report
+    let started = Instant::now();
+    let VehicleSlot { net, vehicle } = slot;
+    if leap {
+        loop {
+            match vehicle.span_once(net, target) {
+                SpanEnd::Done => {
+                    *snap = VehicleSnapshot::finished(vehicle);
+                    break;
+                }
+                SpanEnd::Short => {}
+                SpanEnd::AtTarget => {
+                    *snap = VehicleSnapshot::of(vehicle);
+                    vehicle.post_step();
+                    break;
+                }
+            }
+        }
+    } else {
+        loop {
+            if !vehicle.advance(net) {
+                *snap = VehicleSnapshot::finished(vehicle);
+                break;
+            }
+            let now = vehicle.now();
+            let at_target = now >= target;
+            if at_target {
+                *snap = VehicleSnapshot::of(vehicle);
+            }
+            let t0 = phase::now();
+            let deliveries = net.step(now);
+            for &d in deliveries {
+                vehicle.on_delivery(d);
+            }
+            vehicle.phase_add(phase::NET, phase::now() - t0);
+            vehicle.post_step();
+            if at_target {
+                break;
+            }
+        }
+    }
+    let observed = started.elapsed().as_secs_f64();
+    *cost = if *cost == 0.0 {
+        observed
+    } else {
+        0.5 * *cost + 0.5 * observed
+    };
 }
 
-/// Runs every slot up to `plan.target`, sharded over `plan.threads`
-/// scoped worker threads under the configured [`Partition`]. Slots are
-/// disjoint, so the only synchronisation is the scope join; snapshots
-/// land in vehicle-index order regardless of which thread wrote them —
-/// the partition decides *where* a vehicle computes, never *what*, so
-/// the report is partition- and thread-count-independent by
-/// construction. Returns the shard assignment used, `None` on the
-/// serial path (which computes no bins — and must stay allocation-free
-/// for the zero-alloc gate).
+/// One vehicle's disjoint share of the fleet state: its slot, its
+/// snapshot cell and its cost estimate.
+type Cell<'a> = (&'a mut VehicleSlot, &'a mut VehicleSnapshot, &'a mut f64);
+
+/// The fleet's per-vehicle arrays zipped into disjoint [`Cell`]s, in
+/// vehicle-index order.
+fn cells<'a>(
+    slots: &'a mut [VehicleSlot],
+    snapshots: &'a mut [VehicleSnapshot],
+    costs: &'a mut [f64],
+) -> impl Iterator<Item = Cell<'a>> {
+    slots
+        .iter_mut()
+        .zip(snapshots)
+        .zip(costs)
+        .map(|((slot, snap), cost)| (slot, snap, cost))
+}
+
+/// The per-bin loop both branches of [`run_shards`] run: every vehicle
+/// of the bin, in order, up to `target`.
+fn run_bin<'a>(cells: impl IntoIterator<Item = Cell<'a>>, target: SimTime, leap: bool) {
+    for (slot, snap, cost) in cells {
+        run_slot(slot, target, snap, cost, leap);
+    }
+}
+
+/// Assigns vehicle indices to at most `threads` bins by greedy
+/// longest-processing-time: visit vehicles heaviest-first (by observed
+/// cost) and give each to the currently lightest bin, so a campaign that
+/// concentrates attacks on a few victims spreads those hot vehicles
+/// across threads instead of clustering them in one shard.
+fn assign_shards(costs: &[f64], threads: usize) -> Vec<Vec<usize>> {
+    let n = costs.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        costs[b]
+            .partial_cmp(&costs[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    let mut loads = vec![0.0f64; threads];
+    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); threads];
+    for i in order {
+        let lightest = loads
+            .iter()
+            .enumerate()
+            .min_by(|(_, x), (_, y)| x.total_cmp(y))
+            .map(|(k, _)| k)
+            .expect("threads >= 1");
+        bins[lightest].push(i);
+        // A floor keeps all-zero first-round costs spreading
+        // round-robin instead of piling into bin 0.
+        loads[lightest] += costs[i].max(1e-9);
+    }
+    // Ascending index order within a bin: batches stay
+    // cache-friendly and the walk order is reproducible.
+    for bin in &mut bins {
+        bin.sort_unstable();
+    }
+    bins.retain(|b| !b.is_empty());
+    bins
+}
+
+/// Runs every slot up to `target`, sharded over `threads` scoped worker
+/// threads by [`assign_shards`]. Slots are disjoint, so the only
+/// synchronisation is the scope join; snapshots land in vehicle-index
+/// order regardless of which thread wrote them — the assignment decides
+/// *where* a vehicle computes, never *what*, so the report is
+/// assignment- and thread-count-independent by construction. Returns the
+/// shard assignment used, `None` on the serial path (which computes no
+/// bins — and must stay allocation-free for the zero-alloc gates).
 fn run_shards(
     slots: &mut [VehicleSlot],
     snapshots: &mut [VehicleSnapshot],
     costs: &mut [f64],
-    scratch: &mut [ShardScratch],
-    plan: ShardPlan,
+    target: SimTime,
+    threads: usize,
+    leap: bool,
 ) -> Option<Vec<Vec<usize>>> {
-    let ShardPlan {
-        target,
-        threads,
-        partition,
-        leap,
-    } = plan;
     if threads <= 1 || slots.len() <= 1 {
-        if leap {
-            // Index loops over pooled scratch: the serial leap path, like
-            // the serial stepped path, allocates nothing in steady state.
-            let scratch = &mut scratch[0];
-            for i in 0..slots.len() {
-                if run_slot_leap_timed(
-                    &mut slots[i],
-                    target,
-                    &mut snapshots[i],
-                    &mut costs[i],
-                    &mut scratch.batch,
-                ) {
-                    scratch.pending.push(i);
-                }
-            }
-            let t0 = phase::now();
-            scratch.batch.advance();
-            scratch.physics_ns += phase::now() - t0;
-            for (lane, &i) in scratch.pending.iter().enumerate() {
-                finish_deferred_slot(&mut slots[i], &mut snapshots[i], &scratch.batch, lane);
-            }
-            scratch.batch.clear();
-            scratch.pending.clear();
-        } else {
-            for ((slot, snap), cost) in slots
-                .iter_mut()
-                .zip(snapshots.iter_mut())
-                .zip(costs.iter_mut())
-            {
-                run_slot_timed(slot, target, snap, cost);
-            }
-        }
+        run_bin(cells(slots, snapshots, costs), target, leap);
         return None;
     }
-    let bins = assign_shards(costs, threads, partition);
-    // Split the disjoint `&mut` cells out of the slices and deal them to
-    // their bins — safe non-contiguous sharding, no index arithmetic on
-    // raw pointers.
-    let mut cells: Vec<Option<(&mut VehicleSlot, &mut VehicleSnapshot, &mut f64)>> = slots
-        .iter_mut()
-        .zip(snapshots.iter_mut())
-        .zip(costs.iter_mut())
-        .map(|((slot, snap), cost)| Some((slot, snap, cost)))
-        .collect();
-    let work: Vec<Vec<_>> = bins
+    let bins = assign_shards(costs, threads);
+    // Deal the disjoint `&mut` cells to their bins — safe non-contiguous
+    // sharding, no index arithmetic on raw pointers.
+    let mut unclaimed: Vec<Option<Cell>> = cells(slots, snapshots, costs).map(Some).collect();
+    let work: Vec<Vec<Cell>> = bins
         .iter()
         .map(|bin| {
             bin.iter()
-                .map(|&i| cells[i].take().expect("bins are disjoint"))
+                .map(|&i| unclaimed[i].take().expect("bins are disjoint"))
                 .collect()
         })
         .collect();
     std::thread::scope(|scope| {
-        for (batch, scratch) in work.into_iter().zip(scratch.iter_mut()) {
-            scope.spawn(move || {
-                if leap {
-                    let mut batch = batch;
-                    for (i, (slot, snap, cost)) in batch.iter_mut().enumerate() {
-                        if run_slot_leap_timed(slot, target, snap, cost, &mut scratch.batch) {
-                            scratch.pending.push(i);
-                        }
-                    }
-                    let t0 = phase::now();
-                    scratch.batch.advance();
-                    scratch.physics_ns += phase::now() - t0;
-                    for (lane, &i) in scratch.pending.iter().enumerate() {
-                        let (slot, snap, _) = &mut batch[i];
-                        finish_deferred_slot(slot, snap, &scratch.batch, lane);
-                    }
-                    scratch.batch.clear();
-                    scratch.pending.clear();
-                } else {
-                    for (slot, snap, cost) in batch {
-                        run_slot_timed(slot, target, snap, cost);
-                    }
-                }
-            });
+        for bin in work {
+            scope.spawn(move || run_bin(bin, target, leap));
         }
     });
     Some(bins)
@@ -569,15 +399,11 @@ pub struct Fleet {
     snapshots: Vec<VehicleSnapshot>,
     /// Observed per-batch step cost per vehicle (load-balancing weights).
     costs: Vec<f64>,
-    /// One pooled leap scratch (SoA physics batch + deferred list) per
-    /// worker thread.
-    scratch: Vec<ShardScratch>,
     now: SimTime,
     end_of_flight: SimTime,
     next_poll: SimTime,
     poll_period: SimDuration,
     threads: usize,
-    partition: Partition,
     leap: bool,
     /// Trace sink + metric handles, all-`None` unless attached — one
     /// branch per poll boundary when detached.
@@ -657,15 +483,11 @@ impl Fleet {
             attackers,
             snapshots: vec![VehicleSnapshot::default(); n],
             costs: vec![0.0; n],
-            scratch: std::iter::repeat_with(ShardScratch::default)
-                .take(config.threads.max(1))
-                .collect(),
             now: SimTime::ZERO,
             end_of_flight,
             next_poll: SimTime::ZERO,
             poll_period: SimDuration::from_hz(config.gcs.poll_hz),
             threads: config.threads.max(1),
-            partition: config.partition,
             leap: config.leap,
             obs: obs::FleetObs::default(),
         }
@@ -676,8 +498,8 @@ impl Fleet {
     /// coordinating thread drains all rings into `sink` at each poll
     /// boundary, in vehicle-index order. Under the sink's default
     /// [`cd_obs::TraceMask`] the JSONL stream is byte-identical at any
-    /// thread count and partition; `TraceMask::ALL` adds the
-    /// thread-count-dependent shard-rebalance events.
+    /// thread count; `TraceMask::ALL` adds the thread-count-dependent
+    /// shard-rebalance events.
     pub fn attach_trace(&mut self, sink: TraceSink) {
         // A poll window is ~2000 quanta; 4096 events per vehicle rides
         // out a skip storm without wrapping (wrap drops oldest + counts).
@@ -764,69 +586,12 @@ impl Fleet {
         &self.attackers
     }
 
-    /// Advances the whole airspace by one scheduler quantum:
-    ///
-    /// 1. every still-flying vehicle advances (machine, physics, job
-    ///    dispatch, armed attacks), steps its bridge network and runs its
-    ///    telemetry/crash bookkeeping;
-    /// 2. if a poll tick is due, the merge boundary fires from the
-    ///    per-vehicle snapshots, in vehicle-index order: GCS downlink,
-    ///    swarm broadcast round, then the attacker nodes' turns;
-    /// 3. the airspace advances once and the GCS and swarm drain their
-    ///    sockets.
-    ///
-    /// Returns `false` — without advancing — once every vehicle has
-    /// finished. [`Fleet::run`] batches this loop between poll
-    /// boundaries (and across worker threads) without changing a byte of
-    /// the outcome for single-source ports; `step` stays the
-    /// incremental, debugger-friendly way to drive a fleet. When a
-    /// rate-limited port is fed by several links at once (an external
-    /// attacker sharing a telemetry or swarm port with genuine traffic),
-    /// the per-quantum schedule orders same-window bucket admissions by
-    /// arrival rather than by link, so view counters may differ
-    /// microscopically from [`Fleet::run`]'s — each schedule is
-    /// individually deterministic (see `run_to_end`).
-    pub fn step(&mut self) -> bool {
-        let target = self.now + SCHED_QUANTUM;
-        let poll_due = target >= self.next_poll;
-        let mut any = false;
-        for (slot, snap) in self.slots.iter_mut().zip(self.snapshots.iter_mut()) {
-            let VehicleSlot { net, vehicle } = slot;
-            if vehicle.advance(net) {
-                any = true;
-                if poll_due {
-                    *snap = VehicleSnapshot::of(vehicle);
-                }
-                let deliveries = net.step(vehicle.now());
-                for &d in deliveries {
-                    vehicle.on_delivery(d);
-                }
-                vehicle.post_step();
-            } else if poll_due {
-                *snap = VehicleSnapshot::finished(vehicle);
-            }
-        }
-        if !any {
-            return false;
-        }
-        self.now = target;
-        if poll_due {
-            self.merge_boundary(target);
-            self.next_poll += self.poll_period;
-        }
-        self.settle_airspace();
-        if poll_due {
-            self.observe_boundary(None);
-        }
-        true
-    }
-
     /// Everything that happens *at* a poll boundary, in its pinned
     /// deterministic order: the GCS downlink fires from the snapshots,
     /// the swarm broadcasts its round, and the attacker nodes take their
     /// turn — all on the coordinating thread, all in vehicle-index (and
     /// attacker-index) order, so the wire traffic is identical under any
-    /// thread count and any shard partition.
+    /// thread count and any shard assignment.
     fn merge_boundary(&mut self, now: SimTime) {
         self.gcs.poll(self.airspace.net_mut(), &self.snapshots, now);
         if let Some(swarm) = &mut self.swarm {
@@ -876,21 +641,9 @@ impl Fleet {
     /// boundaries the vehicles are entirely independent, so each shard
     /// runs vehicle-at-a-time batches (cache-friendly: one vehicle's
     /// whole working set stays hot for thousands of quanta) and the
-    /// threads only meet at poll boundaries. Byte-identical to looping
-    /// [`Fleet::step`] for single-source ports: the per-vehicle work is
-    /// the same pure function, snapshots are captured at the same
-    /// interleaving point, and the airspace admits every packet at its
-    /// own arrival time, so stepping it once per batch delivers exactly
-    /// what per-quantum stepping would (the quantum-vs-batch test pins
-    /// this on the mixed campaign). One caveat: when *several* links
-    /// feed one rate-limited port — an attacker flooding the uplink a
-    /// radio also reports on — the admission order within a window
-    /// follows link order under batch stepping but arrival order under
-    /// quantum stepping, so the two schedules may book a boundary packet
-    /// to different counters. Each schedule is individually
-    /// deterministic, and every thread count and partition runs this
-    /// batch executor, so the byte-identical guarantee across executor
-    /// configurations is unaffected.
+    /// threads only meet at poll boundaries. Every configuration — any
+    /// thread count, leap or stepped, bulk or per-packet — runs this one
+    /// schedule, so they all render byte-identical reports.
     fn run_to_end(&mut self, observer: &mut dyn FleetObserver) {
         let threads = self.threads.clamp(1, self.slots.len());
         while self.run_batch(threads) {
@@ -923,13 +676,9 @@ impl Fleet {
             &mut self.slots,
             &mut self.snapshots,
             &mut self.costs,
-            &mut self.scratch,
-            ShardPlan {
-                target,
-                threads,
-                partition: self.partition,
-                leap: self.leap,
-            },
+            target,
+            threads,
+            self.leap,
         );
         let furthest = self
             .slots
@@ -942,9 +691,7 @@ impl Fleet {
         }
         self.now = furthest;
         if furthest == target {
-            // At least one vehicle was still flying at the poll
-            // quantum, so the quantum-stepped loop would have fired
-            // the poll there too.
+            // At least one vehicle was still flying at the poll quantum.
             self.merge_boundary(target);
             self.next_poll += self.poll_period;
         }
@@ -989,7 +736,6 @@ impl Fleet {
             attackers,
             now,
             end_of_flight,
-            scratch,
             ..
         } = self;
         let net = airspace.net();
@@ -1032,7 +778,6 @@ impl Fleet {
                 *acc += v;
             }
         }
-        phase_ns[phase::PHYSICS] += scratch.iter().map(|s| s.physics_ns).sum::<u64>();
         FleetReport {
             sim_steps: outcomes.iter().map(|o| o.result.sim_steps).sum(),
             quanta_leaped: outcomes.iter().map(|o| o.result.quanta_leaped).sum(),
@@ -1094,11 +839,11 @@ pub struct FleetReport {
     /// under `--no-leap`; everything else in the report is byte-identical
     /// either way (see [`FleetReport::quanta_stepped`]).
     pub quanta_leaped: u64,
-    /// Wall-nanoseconds per executor phase, summed over vehicles and
-    /// worker shards ([`containerdrone_core::phase`] indices). All-zero
-    /// unless the phase clock is installed; under multi-threaded runs the
-    /// phases sum CPU-time-like across threads, so they can exceed the
-    /// run's wall clock.
+    /// Wall-nanoseconds per executor phase, summed over vehicles
+    /// ([`containerdrone_core::phase`] indices). All-zero unless the
+    /// phase clock is installed; under multi-threaded runs the phases sum
+    /// CPU-time-like across threads, so they can exceed the run's wall
+    /// clock.
     pub phase_ns: [u64; phase::COUNT],
     /// Datagrams offered to the bridge and airspace networks combined
     /// (streams, attacks and telemetry).

@@ -6,7 +6,7 @@
 use attacks::fleet::{FleetScript, FleetTarget};
 use attacks::script::AttackEvent;
 use attacks::udp_flood::UdpFlood;
-use cd_fleet::{Fleet, FleetConfig, FleetReport, Partition, SwarmConfig};
+use cd_fleet::{Fleet, FleetConfig, FleetReport, SwarmConfig};
 use containerdrone_core::scenario::ScenarioConfig;
 use sim_core::time::{SimDuration, SimTime};
 
@@ -139,32 +139,6 @@ fn swarm_and_attacker_campaign_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// Load-balanced and contiguous partitioning are wall-clock strategies,
-/// not semantics: the same campaign under both must render identical
-/// reports (the load balancer's wall-clock cost observations never touch
-/// simulation state).
-#[test]
-fn partition_strategy_never_changes_the_report() {
-    let balanced = Fleet::new(adversarial_config(25).with_threads(4)).run();
-    let contiguous = Fleet::new(
-        adversarial_config(25)
-            .with_threads(4)
-            .with_partition(Partition::Contiguous),
-    )
-    .run();
-    assert_reports_equal(&balanced, &contiguous, "load-balanced vs contiguous");
-    // And against the mixed (no-swarm) campaign too, where the per-poll
-    // cost skew between flooded and healthy vehicles is largest.
-    let mixed_balanced = Fleet::new(mixed_config(25).with_threads(8)).run();
-    let mixed_contiguous = Fleet::new(
-        mixed_config(25)
-            .with_threads(8)
-            .with_partition(Partition::Contiguous),
-    )
-    .run();
-    assert_reports_equal(&mixed_balanced, &mixed_contiguous, "mixed campaign");
-}
-
 /// The N = 1 equivalence pin holds on the *parallel* executor too: even
 /// threaded, an N = 1 fleet reproduces the golden single-vehicle
 /// Figure 4 CSV byte-for-byte.
@@ -179,31 +153,6 @@ fn parallel_n1_fleet_still_reproduces_fig4_golden() {
         "fig4: parallel N=1 fleet CSV diverged from the golden file"
     );
     assert!(report.outcomes[0].gcs.packets > 0, "GCS heard the vehicle");
-}
-
-/// The quantum-stepped public API ([`Fleet::step`]) and the batch
-/// executor behind [`Fleet::run`] are two schedules of the same
-/// computation; their reports must match byte-for-byte.
-#[test]
-fn quantum_stepping_matches_the_batch_executor() {
-    let batch = Fleet::new(mixed_config(5)).run();
-
-    let mut stepped = Fleet::new(mixed_config(5));
-    while stepped.step() {}
-    let stepped = stepped.finish();
-
-    assert_eq!(batch.to_csv(), stepped.to_csv());
-    assert_eq!(batch.sim_steps, stepped.sim_steps);
-    assert_eq!(batch.net_packets, stepped.net_packets);
-    assert_eq!(batch.duration, stepped.duration);
-    for (a, b) in batch.outcomes.iter().zip(&stepped.outcomes) {
-        assert_eq!(
-            a.result.telemetry.to_csv(),
-            b.result.telemetry.to_csv(),
-            "vehicle {} telemetry diverged between schedules",
-            a.index
-        );
-    }
 }
 
 /// Oversubscription (more threads than vehicles) must degrade to one

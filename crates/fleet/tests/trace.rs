@@ -1,13 +1,13 @@
 //! The trace stream's determinism guarantee: the JSONL bytes a fleet
 //! run drains through [`Fleet::attach_trace`] are a pure function of the
-//! configuration — thread count and shard partition must never move,
+//! configuration — thread count and shard assignment must never move,
 //! add, drop or reorder a single byte (under the default
 //! [`TraceMask::DETERMINISTIC`] mask).
 
 use attacks::fleet::{FleetScript, FleetTarget};
 use attacks::script::AttackEvent;
 use attacks::udp_flood::UdpFlood;
-use cd_fleet::{Fleet, FleetConfig, Partition, SwarmConfig};
+use cd_fleet::{Fleet, FleetConfig, SwarmConfig};
 use cd_obs::{TraceMask, TraceSink};
 use containerdrone_core::scenario::ScenarioConfig;
 use sim_core::time::{SimDuration, SimTime};
@@ -89,26 +89,6 @@ fn trace_stream_is_byte_identical_across_thread_counts() {
             "trace stream diverged at {threads} threads"
         );
     }
-}
-
-/// Partitioning strategy is a wall-clock knob; the deterministic trace
-/// must not see it.
-#[test]
-fn trace_stream_is_partition_independent() {
-    let mut fleet = Fleet::new(
-        traced_config(25)
-            .with_threads(4)
-            .with_partition(Partition::Contiguous),
-    );
-    let (sink, buf) = TraceSink::in_memory();
-    fleet.attach_trace(sink);
-    fleet.run();
-    let contiguous = buf.take();
-    let balanced = traced_run(4, TraceMask::DETERMINISTIC);
-    assert!(
-        contiguous == balanced,
-        "trace stream diverged between partitions"
-    );
 }
 
 /// `TraceMask::ALL` opts into the thread-count-dependent shard

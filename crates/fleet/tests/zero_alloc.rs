@@ -25,8 +25,8 @@ use cd_fleet::{Fleet, FleetConfig};
 use containerdrone_core::scenario::ScenarioConfig;
 use sim_core::time::SimTime;
 
-/// The allocation counter is process-global, so the two measurement
-/// windows must never overlap: each test serializes on this lock.
+/// The allocation counter is process-global, so the measurement windows
+/// must never overlap: each test serializes on this lock.
 static MEASUREMENT: Mutex<()> = Mutex::new(());
 
 struct CountingAllocator;
@@ -61,27 +61,24 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
 
-fn advance_to(fleet: &mut Fleet, target: SimTime) {
-    while fleet.now() < target && fleet.step() {}
-}
-
 /// One simulated second of a 3-vehicle fleet in Figure-7 flood steady
-/// state must not allocate at all. The warmup is pool-aware: it runs
-/// well past the 8 s flood onset and the Simplex switches, so the link
-/// queues carry their steady burst load, the GCS pools are primed by
-/// dozens of poll/drain cycles, and the one-off switch/violation records
-/// have been written.
+/// state on the quantum-stepped reference executor (`with_leap(false)`)
+/// must not allocate at all. The warmup is pool-aware: it runs well past
+/// the 8 s flood onset and the Simplex switches, so the link queues
+/// carry their steady burst load, the GCS pools are primed by dozens of
+/// poll/drain cycles, and the one-off switch/violation records have been
+/// written.
 #[test]
 fn fleet_flood_steady_state_allocates_nothing() {
     let _window = MEASUREMENT.lock().expect("serialize measurement");
     // fig7 for every vehicle: a static timeline, so no fleet-script
     // rotation re-arms attacks (and allocates) inside the window.
-    let mut fleet = Fleet::new(FleetConfig::new(ScenarioConfig::fig7(), 3));
-    advance_to(&mut fleet, SimTime::from_secs(12));
+    let mut fleet = Fleet::new(FleetConfig::new(ScenarioConfig::fig7(), 3).with_leap(false));
+    fleet.run_until(SimTime::from_secs(12));
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     assert!(before > 0, "counter must have registered setup allocations");
-    advance_to(&mut fleet, SimTime::from_secs(13)); // one simulated second
+    fleet.run_until(SimTime::from_secs(13)); // one simulated second
     let after = ALLOCATIONS.load(Ordering::Relaxed);
 
     assert_eq!(
@@ -94,6 +91,7 @@ fn fleet_flood_steady_state_allocates_nothing() {
     // The window really was a flooded, GCS-polled fleet — not a silently
     // degenerate run.
     let report = fleet.finish();
+    assert_eq!(report.quanta_leaped, 0, "the window must run stepped");
     assert_eq!(report.crashes(), 0);
     assert_eq!(report.switches(), 3, "every monitor must have switched");
     for o in &report.outcomes {
@@ -110,20 +108,18 @@ fn fleet_flood_steady_state_allocates_nothing() {
     }
 }
 
-/// The batch/leap executor's counterpart: one simulated second of a
-/// healthy fleet advanced in whole poll-boundary batches
-/// ([`Fleet::run_until`], the executor behind [`Fleet::run`]) must be
-/// allocation-free once warm. This covers the leap-path scratch the
-/// per-quantum gate never touches: per-shard SoA physics batches, the
-/// deferred-vehicle lists, and every machine's replay/demand/fair-order
-/// buffers.
+/// The leap executor's counterpart: one simulated second of a healthy
+/// fleet advanced in whole poll-boundary batches ([`Fleet::run_until`],
+/// the executor behind [`Fleet::run`]) must be allocation-free once
+/// warm. This covers the leap-path scratch the stepped gate never
+/// touches: every machine's replay/demand/fair-order buffers.
 #[test]
 fn fleet_leap_steady_state_allocates_nothing() {
     let _window = MEASUREMENT.lock().expect("serialize measurement");
     let mut fleet = Fleet::new(FleetConfig::new(ScenarioConfig::healthy(), 3));
 
-    // Warmup on the same executor the window measures, so the shard
-    // scratch (physics batch lanes, pending lists) has reached capacity.
+    // Warmup on the same executor the window measures, so every span
+    // scratch buffer has reached capacity.
     fleet.run_until(SimTime::from_secs(3));
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);

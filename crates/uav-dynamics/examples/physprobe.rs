@@ -30,37 +30,4 @@ fn main() {
         total / substeps,
         total / quanta as f64
     );
-
-    // SoA batch: 32 lanes advanced 100 ms at a time (a poll window).
-    let lanes = 32usize;
-    let mut worlds: Vec<World> = (0..lanes)
-        .map(|i| {
-            let mut w = World::new(WorldConfig::default(), i as u64);
-            w.start_at_hover(Vec3::new(0.0, 0.0, -1.0));
-            w.set_motor_commands([hover; 4]);
-            w
-        })
-        .collect();
-    let mut batch = uav_dynamics::WorldBatch::default();
-    let window = SimDuration::from_millis(100);
-    let windows = 300u64;
-    let t = std::time::Instant::now();
-    let mut now = SimTime::ZERO;
-    for _ in 0..windows {
-        now += window;
-        batch.clear();
-        for w in &mut worlds {
-            batch.enroll(w, now);
-        }
-        batch.advance();
-        for (lane, w) in worlds.iter_mut().enumerate() {
-            batch.scatter_into(lane, w);
-        }
-    }
-    let total = t.elapsed().as_nanos() as f64;
-    let substeps = (windows * 200 * lanes as u64) as f64;
-    println!(
-        "batch.advance: {:.0} ns/substep ({lanes} lanes)",
-        total / substeps
-    );
 }

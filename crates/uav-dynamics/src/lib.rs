@@ -28,7 +28,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod crash;
 pub mod environment;
 pub mod math;
@@ -37,7 +36,6 @@ pub mod quad;
 pub mod sensors;
 pub mod world;
 
-pub use batch::WorldBatch;
 pub use crash::{Crash, CrashConfig, CrashDetector, CrashKind};
 pub use environment::{FlightCage, Wind, WindConfig};
 pub use math::{wrap_angle, Mat3, Quat, Vec3};

@@ -196,32 +196,13 @@ impl Quadrotor {
     ///
     /// Semi-implicit Euler at the caller's rate (≥ 500 Hz recommended).
     pub fn step(&mut self, dt: f64, wind: Vec3) {
-        Self::step_kernel(
-            &self.params,
-            &self.inertia_inv,
-            &mut self.state,
-            &mut self.motors,
-            &mut self.on_ground,
-            dt,
-            wind,
-        );
-    }
-
-    /// The integrator kernel behind [`Quadrotor::step`], operating on
-    /// borrowed state so the SoA batch executor
-    /// ([`crate::batch::WorldBatch`]) can run the *same* instruction
-    /// sequence over contiguous per-shard lanes. Both entry points share
-    /// this one body, which is what makes batched physics bit-identical
-    /// to per-world stepping.
-    pub(crate) fn step_kernel(
-        params: &QuadParams,
-        inertia_inv: &Mat3,
-        state: &mut QuadState,
-        motors: &mut [Motor; 4],
-        on_ground: &mut bool,
-        dt: f64,
-        wind: Vec3,
-    ) {
+        let Quadrotor {
+            params,
+            state,
+            motors,
+            inertia_inv,
+            on_ground,
+        } = self;
         for m in motors.iter_mut() {
             m.step(dt);
         }
@@ -274,19 +255,6 @@ impl Quadrotor {
         } else {
             *on_ground = false;
         }
-    }
-
-    /// The batch executor's gather view: kinematic state, motor bank,
-    /// ground flag and the cached inverse inertia, in one read.
-    pub(crate) fn lane_parts(&self) -> (&QuadState, &[Motor; 4], bool, &Mat3) {
-        (&self.state, &self.motors, self.on_ground, &self.inertia_inv)
-    }
-
-    /// The batch executor's scatter: writes an advanced lane back.
-    pub(crate) fn restore_lane(&mut self, state: QuadState, motors: [Motor; 4], on_ground: bool) {
-        self.state = state;
-        self.motors = motors;
-        self.on_ground = on_ground;
     }
 }
 

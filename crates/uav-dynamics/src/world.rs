@@ -9,8 +9,7 @@ use sim_core::time::{SimDuration, SimTime};
 
 use crate::crash::{Crash, CrashConfig, CrashDetector};
 use crate::environment::{FlightCage, Wind, WindConfig};
-use crate::math::{Mat3, Vec3};
-use crate::motor::Motor;
+use crate::math::Vec3;
 use crate::quad::{QuadParams, QuadState, Quadrotor};
 use crate::sensors::{
     Baro, BaroConfig, BaroSample, Imu, ImuConfig, ImuSample, PositionFix, Positioning,
@@ -51,21 +50,6 @@ impl Default for WorldConfig {
             physics_dt: SimDuration::from_micros(500), // 2 kHz
         }
     }
-}
-
-/// One world's physics state, moved out by value for the SoA batch
-/// executor: everything [`World::advance_to`] touches, nothing it does
-/// not. All fields are heap-free, so gather/scatter is a plain copy.
-pub(crate) struct LaneState {
-    pub(crate) dt: SimDuration,
-    pub(crate) now: SimTime,
-    pub(crate) params: QuadParams,
-    pub(crate) inertia_inv: Mat3,
-    pub(crate) state: QuadState,
-    pub(crate) motors: [Motor; 4],
-    pub(crate) on_ground: bool,
-    pub(crate) wind: Wind,
-    pub(crate) detector: CrashDetector,
 }
 
 /// The simulated physical world.
@@ -172,35 +156,6 @@ impl World {
             self.detector
                 .check(self.quad.state(), self.quad.on_ground(), self.now);
         }
-    }
-
-    /// Gathers everything the SoA batch executor needs to advance this
-    /// world's physics off-line (see [`crate::batch::WorldBatch`]). The
-    /// world keeps its (now stale) state until the matching
-    /// [`World::restore_lane`]; callers must not touch it in between.
-    pub(crate) fn extract_lane(&self) -> LaneState {
-        let (state, motors, on_ground, inertia_inv) = self.quad.lane_parts();
-        LaneState {
-            dt: self.config.physics_dt,
-            now: self.now,
-            params: *self.quad.params(),
-            inertia_inv: *inertia_inv,
-            state: *state,
-            motors: *motors,
-            on_ground,
-            wind: self.wind.clone(),
-            detector: self.detector.clone(),
-        }
-    }
-
-    /// Writes a batch-advanced lane back (the inverse of
-    /// [`World::extract_lane`]).
-    pub(crate) fn restore_lane(&mut self, lane: LaneState) {
-        self.quad
-            .restore_lane(lane.state, lane.motors, lane.on_ground);
-        self.wind = lane.wind;
-        self.detector = lane.detector;
-        self.now = lane.now;
     }
 
     /// Samples the IMU at the current instant.
