@@ -47,6 +47,18 @@ pub trait AttackDriver: std::fmt::Debug + Send {
     /// Short identifier used in markers, logs and reports.
     fn name(&self) -> &'static str;
 
+    /// A deep, independent copy of this driver — what lets a whole
+    /// mid-flight run be cloned and forked. The contract: the copy
+    /// carries every piece of emission state (pacing carry, sequence
+    /// numbers, counters, the active flag), so stepping the copy
+    /// against a clone of the network offers exactly the traffic the
+    /// original would have, and nothing done to one ever reaches the
+    /// other. Handles into the machine or network (task and socket
+    /// ids) are plain indices and copy as-is; they stay valid because
+    /// the machine and network are cloned alongside. A `Clone` driver
+    /// implements it as `Box::new(self.clone())`.
+    fn clone_box(&self) -> Box<dyn AttackDriver>;
+
     /// Advances the attack by one scheduler quantum (network attacks emit
     /// their packets here; resource hogs are pure scheduler load and keep
     /// the default no-op).
@@ -116,9 +128,15 @@ pub trait AttackDriver: std::fmt::Debug + Send {
     }
 }
 
+impl Clone for Box<dyn AttackDriver> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
 /// Shared helper for hog-style attacks whose entire runtime state is the
 /// set of spawned tasks.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TaskSetDriver {
     name: &'static str,
     tasks: Vec<TaskId>,
@@ -139,6 +157,10 @@ impl TaskSetDriver {
 impl AttackDriver for TaskSetDriver {
     fn name(&self) -> &'static str {
         self.name
+    }
+
+    fn clone_box(&self) -> Box<dyn AttackDriver> {
+        Box::new(self.clone())
     }
 
     fn halt(&mut self, machine: &mut Machine) {

@@ -90,7 +90,7 @@ impl MotorSpoof {
 }
 
 /// Drives an active spoofing attack; step every quantum.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SpoofDriver {
     socket: SocketId,
     task: TaskId,
@@ -149,6 +149,10 @@ impl SpoofDriver {
 impl AttackDriver for SpoofDriver {
     fn name(&self) -> &'static str {
         "motor-spoof"
+    }
+
+    fn clone_box(&self) -> Box<dyn AttackDriver> {
+        Box::new(self.clone())
     }
 
     fn step(&mut self, net: &mut Network, now: SimTime, dt: SimDuration) {

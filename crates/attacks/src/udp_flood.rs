@@ -100,7 +100,7 @@ impl UdpFlood {
 /// ([`FloodDriver`]) or off-board (a fleet attacker node): paces `pps`
 /// against a fractional carry accumulator and fans one shared payload
 /// out per step through the [`Network::send_shared`] fast-path.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FloodEmitter {
     socket: SocketId,
     dst: Addr,
@@ -244,7 +244,7 @@ impl FloodEmitter {
 }
 
 /// Drives an active flood: call [`FloodDriver::step`] every quantum.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FloodDriver {
     emitter: FloodEmitter,
     task: TaskId,
@@ -281,6 +281,10 @@ impl FloodDriver {
 impl AttackDriver for FloodDriver {
     fn name(&self) -> &'static str {
         Self::NAME
+    }
+
+    fn clone_box(&self) -> Box<dyn AttackDriver> {
+        Box::new(self.clone())
     }
 
     fn step(&mut self, net: &mut Network, now: SimTime, dt: SimDuration) {

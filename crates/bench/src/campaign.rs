@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use attacks::script::AttackScript;
 use cd_obs::metrics::{Counter, Registry};
 use cd_obs::trace::TraceSink;
-use containerdrone_core::runner::{Scenario, ScenarioResult};
+use containerdrone_core::runner::{RunningScenario, Scenario, ScenarioResult};
 use containerdrone_core::scenario::ScenarioConfig;
 use containerdrone_core::Protections;
 use sim_core::time::{SimDuration, SimTime};
@@ -230,7 +230,7 @@ impl CampaignSpec {
                         m.started.inc();
                     }
                     let outcome = if trace {
-                        run_windowed(variant, TRACE_WINDOW, None, Some(i))
+                        run_windowed(variant, TRACE_WINDOW, None, Some(i), Fork::default())
                     } else {
                         run_one(variant)
                     };
@@ -277,47 +277,90 @@ const TRACE_WINDOW: SimDuration = SimDuration::from_millis(250);
 /// byte-for-byte what the in-process campaign produces for the same
 /// variant.
 pub fn run_one(variant: &Variant) -> CampaignOutcome {
-    run_windowed(variant, variant.config.duration, None, None)
+    run_windowed(
+        variant,
+        variant.config.duration,
+        None,
+        None,
+        Fork::default(),
+    )
+}
+
+/// Where a windowed run starts and where it hands out snapshots of
+/// itself: the shared-prefix hooks of [`run_one_windowed`].
+/// `Fork::default()` builds the variant at t = 0 and snapshots nothing.
+#[derive(Default)]
+pub struct Fork<'a> {
+    /// Continue this run instead of building the variant at t = 0. It
+    /// must already fly the variant: a snapshot of a sibling whose
+    /// script was swapped for the variant's with
+    /// [`RunningScenario::set_attacks`].
+    pub from: Option<RunningScenario>,
+    /// Quantum boundaries, ascending, at which the run stops and hands
+    /// a clone of itself to `snapshot`. Points the run starts at or
+    /// after, or never reaches, are skipped.
+    pub points: &'a [SimTime],
+    /// Receives a clone of the run at each reached point.
+    pub snapshot: Option<&'a mut dyn FnMut(RunningScenario)>,
 }
 
 /// [`run_one`] advanced in fixed sim-time windows, invoking `progress`
-/// after every window with the current sim time. The result is
-/// byte-identical to [`run_one`]'s — the equivalence is pinned by a test
-/// below. Workers use the callback to emit liveness heartbeats (and,
-/// under fault injection, to die or stall mid-run) without perturbing
-/// the deterministic outcome.
+/// after every window with the current sim time, optionally starting
+/// from and handing out snapshots (see [`Fork`]). The result is
+/// byte-identical to [`run_one`]'s — a test below pins the windows,
+/// and `cd-orch`'s fork-equivalence test pins the forks. Workers use
+/// the callback to emit liveness heartbeats (and, under fault
+/// injection, to die or stall mid-run) without perturbing the
+/// deterministic outcome.
 pub fn run_one_windowed(
     variant: &Variant,
     window: SimDuration,
     progress: &mut dyn FnMut(SimTime),
+    fork: Fork<'_>,
 ) -> CampaignOutcome {
-    run_windowed(variant, window, Some(progress), None)
+    run_windowed(variant, window, Some(progress), None, fork)
 }
 
-/// The one variant runner: [`Scenario::start`] advanced on the leap
-/// executor in `window`-long sim-time windows. After every window that
-/// advanced, `progress` sees the current sim time. With a `trace`
-/// ordinal the vehicle records into a pre-allocated ring drained after
-/// every window — sim-time drain points, so the JSONL fragment is a
-/// pure function of the variant.
+/// The one variant runner: [`Scenario::start`] (or `fork.from`)
+/// advanced on the leap executor in `window`-long sim-time windows,
+/// also stopping at every fork point to hand `fork.snapshot` a clone.
+/// After every stretch that advanced, `progress` sees the current sim
+/// time. With a `trace` ordinal the vehicle records into a
+/// pre-allocated ring drained after every stretch — sim-time drain
+/// points, so the JSONL fragment is a pure function of the variant.
 #[allow(clippy::disallowed_methods)] // wall time is the measurement here
 fn run_windowed(
     variant: &Variant,
     window: SimDuration,
     mut progress: Option<&mut dyn FnMut(SimTime)>,
     trace: Option<usize>,
+    fork: Fork<'_>,
 ) -> CampaignOutcome {
     let started = Instant::now();
-    let config = variant.config.clone();
-    let end = SimTime::ZERO + config.duration;
-    let mut run = Scenario::new(config).start();
+    let end = SimTime::ZERO + variant.config.duration;
+    let Fork {
+        from,
+        points,
+        mut snapshot,
+    } = fork;
+    let mut run = from.unwrap_or_else(|| Scenario::new(variant.config.clone()).start());
+    let start = run.now();
+    let mut points = points
+        .iter()
+        .copied()
+        .skip_while(|&p| p <= start)
+        .peekable();
     let mut sink = trace.map(|ord| {
         run.vehicle_mut().obs_port().attach(8192, ord as u32);
         TraceSink::in_memory()
     });
     loop {
         let before = run.now();
-        run.advance_to_leap(before + window);
+        let target = match points.peek() {
+            Some(&point) => point.min(before + window),
+            None => before + window,
+        };
+        run.advance_to_leap(target);
         if let Some((sink, _)) = &mut sink {
             run.vehicle_mut()
                 .obs_port()
@@ -325,6 +368,13 @@ fn run_windowed(
         }
         if run.now() == before {
             break;
+        }
+        let mut at_point = false;
+        while let Some(point) = points.next_if(|&p| p <= run.now()) {
+            at_point |= point == run.now();
+        }
+        if let (true, Some(snapshot)) = (at_point, &mut snapshot) {
+            snapshot(run.clone());
         }
         if let Some(progress) = &mut progress {
             progress(run.now());
@@ -338,6 +388,10 @@ fn run_windowed(
         None => Vec::new(),
     };
     let result = run.finish();
+    debug_assert_eq!(
+        result.config, variant.config,
+        "the run flew another variant"
+    );
     let from = result.attack_onset.unwrap_or(SimTime::from_secs(2));
     CampaignOutcome {
         label: variant.label.clone(),
@@ -563,9 +617,12 @@ mod tests {
         };
         let one_shot = run_one(&variant);
         let mut windows = 0;
-        let windowed = run_one_windowed(&variant, SimDuration::from_millis(250), &mut |_| {
-            windows += 1;
-        });
+        let windowed = run_one_windowed(
+            &variant,
+            SimDuration::from_millis(250),
+            &mut |_| windows += 1,
+            Fork::default(),
+        );
         assert!(windows >= 3, "progress fired per window (got {windows})");
         assert_eq!(one_shot.jsonl_record(), windowed.jsonl_record());
     }

@@ -179,7 +179,7 @@ pub fn write_jsonl(ev: &TraceEvent, out: &mut String) {
 /// saturated window is visible rather than silent). Overflow is as
 /// deterministic as everything else — same events, same capacity, same
 /// drops on every run.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TraceBuf {
     ord: u32,
     buf: Box<[TraceEvent]>,
@@ -216,7 +216,7 @@ impl TraceBuf {
 /// default) it is a single `Option` discriminant — the whole cost of
 /// observability compiled in but unused. Attached, it owns a
 /// pre-allocated [`TraceBuf`] stamped with the source's stable ordinal.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ObsPort {
     buf: Option<Box<TraceBuf>>,
 }

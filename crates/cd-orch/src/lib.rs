@@ -24,6 +24,11 @@
 //! * **Quarantine.** A run that keeps failing is quarantined after a
 //!   bounded number of attempts and reported as `"outcome":"failed"`;
 //!   it can never wedge the sweep.
+//! * **Shared prefixes.** Runs that differ only in their attack
+//!   timelines fly the same flight until their timelines part. The
+//!   parent dispatches such a [`prefix`] group to one worker, which
+//!   flies the shared prefix once and forks the siblings from
+//!   snapshots — byte-identical to flying each from t = 0.
 //! * **Snapshot/resume.** Every completed run is appended to a
 //!   checksummed [`ledger`]; after a SIGKILL, `--resume` replays the
 //!   intact prefix (a torn tail from a mid-append kill is truncated;
@@ -46,6 +51,7 @@
 pub mod inject;
 pub mod ledger;
 pub mod orchestrator;
+pub mod prefix;
 pub mod retry;
 pub mod spec;
 pub mod wire;

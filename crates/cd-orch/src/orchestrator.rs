@@ -14,6 +14,14 @@
 //! the longest settled prefix in spec order: record `k` is written the
 //! moment runs `0..=k` have all settled. Incremental streaming and
 //! byte-determinism at once.
+//!
+//! **Group dispatch.** Runs that share a flight prefix (one
+//! [`prefix`](crate::prefix) group) go to the same worker, which flies
+//! the prefix once and forks the rest from a snapshot. An idle worker
+//! takes the lowest pending run of the group it last ran; otherwise a
+//! run of the lowest group no other worker holds; otherwise the lowest
+//! pending run. Records therefore settle group by group, and `--stream`
+//! emits them in bursts; the bytes are unchanged.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,9 +37,11 @@ use cd_obs::{Counter, Gauge, Registry};
 
 use crate::inject::InjectConfig;
 use crate::ledger::{self, Ledger, LedgerError, RunOutcome, Tail};
-use crate::retry::{FailAction, RetryPolicy, SweepBook};
+use crate::prefix::Groups;
+use crate::retry::{FailAction, Phase, RetryPolicy, SweepBook};
 use crate::spec::{OrchSpec, SpecError};
 use crate::wire::{Frame, FrameReader, WireError};
+use crate::worker::HEARTBEAT_WINDOW;
 
 /// The crate's single wall-clock read. Liveness only — heartbeat
 /// deadlines and backoff pacing; the value never reaches an output
@@ -226,6 +236,9 @@ struct Worker {
     stdin: ChildStdin,
     state: WorkerState,
     last_seen: Instant,
+    /// The group of the last run dispatched to this worker — the group
+    /// whose snapshots it holds.
+    group: Option<usize>,
 }
 
 /// Runs an orchestration to completion.
@@ -234,6 +247,7 @@ pub fn run(opts: &OrchOptions) -> Result<OrchSummary, OrchError> {
     let campaign = spec.campaign();
     let variants = campaign.variants();
     let runs = variants.len();
+    let groups = Groups::new(variants, HEARTBEAT_WINDOW);
     let canonical = spec.canonical();
     let digest = spec.digest();
 
@@ -382,7 +396,7 @@ pub fn run(opts: &OrchOptions) -> Result<OrchSummary, OrchError> {
             emit_prefix(&slots, &mut next_emit, &mut out, opts.stream)?;
         }
         if handshake_deaths >= HANDSHAKE_FUSE {
-            shutdown(&mut pool);
+            shutdown(&mut pool, &rx);
             return Err(OrchError::WorkersKeepDying {
                 deaths: handshake_deaths,
             });
@@ -395,13 +409,19 @@ pub fn run(opts: &OrchOptions) -> Result<OrchSummary, OrchError> {
             .map(|(&wid, _)| wid)
             .collect();
         for wid in idle.drain(..) {
-            let Some(run) = book.next_pending() else {
+            let last = pool.get(&wid).and_then(|w| w.group);
+            let held = |group| {
+                pool.iter()
+                    .any(|(&other, w)| other != wid && w.group == Some(group))
+            };
+            let Some(run) = groups.pick(last, |r| book.phase(r) == Phase::Pending, held) else {
                 break;
             };
             let attempt = book.start(run);
             let ok = {
                 let worker = pool.get_mut(&wid).expect("idle wid is in the pool");
                 worker.state = WorkerState::Busy { run };
+                worker.group = Some(groups.group_of(run));
                 worker.last_seen = liveness_now();
                 writeln!(worker.stdin, "RUN {run} {attempt}")
                     .and_then(|_| worker.stdin.flush())
@@ -577,7 +597,7 @@ pub fn run(opts: &OrchOptions) -> Result<OrchSummary, OrchError> {
 
     emit_prefix(&slots, &mut next_emit, &mut out, opts.stream)?;
     debug_assert_eq!(next_emit, runs);
-    shutdown(&mut pool);
+    shutdown(&mut pool, &rx);
     if let Some(m) = &meters {
         m.pending.set(0.0);
         m.workers.set(0.0);
@@ -655,6 +675,7 @@ fn spawn_worker(
             stdin,
             state: WorkerState::Handshaking,
             last_seen: liveness_now(),
+            group: None,
         },
     );
     Ok(())
@@ -740,27 +761,34 @@ pub fn quarantine_record(label: &str, seed: u64) -> String {
     format!("{{\"variant\":\"{label}\",\"seed\":{seed},\"outcome\":\"failed\"}}\n")
 }
 
-/// Asks every worker to exit, then makes sure of it.
-fn shutdown(pool: &mut BTreeMap<u64, Worker>) {
+/// Asks every worker to exit and reaps each one once its stdout closes
+/// (its reader thread's `Gone`), all within one 500 ms deadline; kills
+/// whatever is still running at the deadline.
+fn shutdown(pool: &mut BTreeMap<u64, Worker>, rx: &Receiver<Event>) {
     for (_, worker) in pool.iter_mut() {
         let _ = writeln!(worker.stdin, "EXIT");
         let _ = worker.stdin.flush();
     }
-    for (_, mut worker) in std::mem::take(pool) {
-        let deadline = liveness_now() + Duration::from_millis(500);
-        loop {
-            match worker.child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if liveness_now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(10))
-                }
-                _ => {
-                    let _ = worker.child.kill();
-                    let _ = worker.child.wait();
-                    break;
-                }
+    let deadline = liveness_now() + Duration::from_millis(500);
+    while !pool.is_empty() {
+        let left = deadline.saturating_duration_since(liveness_now());
+        let (wid, exited) = match rx.recv_timeout(left) {
+            Ok(Event::Gone(wid)) => (wid, true),
+            // The reader stopped on a bad frame; the process may live on.
+            Ok(Event::Broken(wid, _)) => (wid, false),
+            Ok(Event::Frame(..)) => continue,
+            Err(_) => break,
+        };
+        if let Some(mut worker) = pool.remove(&wid) {
+            if !exited {
+                let _ = worker.child.kill();
             }
+            let _ = worker.child.wait();
         }
+    }
+    for (_, mut worker) in std::mem::take(pool) {
+        let _ = worker.child.kill();
+        let _ = worker.child.wait();
     }
 }
 

@@ -102,11 +102,6 @@ impl SweepBook {
         self.phase[run] = if failed { Phase::Failed } else { Phase::Done };
     }
 
-    /// The lowest pending run, if any.
-    pub fn next_pending(&self) -> Option<usize> {
-        self.phase.iter().position(|p| matches!(p, Phase::Pending))
-    }
-
     /// Marks a run dispatched. Returns the attempt number it carries
     /// (1-based: failures so far + 1).
     pub fn start(&mut self, run: usize) -> u32 {
@@ -215,10 +210,10 @@ mod tests {
     fn lifecycle_walks_pending_running_done() {
         let mut book = SweepBook::new(3, RetryPolicy::default());
         assert_eq!(book.remaining(), 3);
-        assert_eq!(book.next_pending(), Some(0));
+        assert_eq!(book.phase(0), Phase::Pending);
         assert_eq!(book.start(0), 1);
         assert_eq!(book.phase(0), Phase::Running);
-        assert_eq!(book.next_pending(), Some(1));
+        assert_eq!(book.phase(1), Phase::Pending);
         book.complete(0);
         assert_eq!(book.phase(0), Phase::Done);
         assert_eq!(book.remaining(), 2);
@@ -272,10 +267,13 @@ mod tests {
         book.mark_done_prior(0, false);
         book.mark_done_prior(2, true);
         assert_eq!(book.remaining(), 2);
-        assert_eq!(book.next_pending(), Some(1));
+        assert_eq!(
+            [book.phase(0), book.phase(1), book.phase(2)],
+            [Phase::Done, Phase::Pending, Phase::Failed]
+        );
         book.start(1);
         book.complete(1);
-        assert_eq!(book.next_pending(), Some(3));
+        assert_eq!(book.phase(3), Phase::Pending);
         book.start(3);
         book.complete(3);
         assert!(book.all_settled());

@@ -19,20 +19,96 @@
 //! per-`(run, attempt)` draw and misbehaves on cue: aborts mid-run,
 //! stalls forever (heartbeats stop, the parent's deadline reaps it),
 //! or corrupts its result frame's checksum.
+//!
+//! **Shared prefixes.** The parent hands a worker the runs of one
+//! [`prefix`](crate::prefix) group in a row. While flying a run, the
+//! worker snapshots it at the branch points its not-yet-flown siblings
+//! can fork from, and starts each run from the deepest snapshot whose
+//! fired timeline entries agree with its own. It keeps snapshots for
+//! the current group only, at most one per branch point, and drops them
+//! when the group changes. A fresh worker — a replacement after a
+//! crash — starts with none and flies from t = 0. Either way the record
+//! is byte-identical.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 
-use cd_bench::campaign::run_one_windowed;
-use sim_core::time::SimDuration;
+use cd_bench::campaign::{run_one_windowed, CampaignOutcome, Fork, Variant};
+use containerdrone_core::RunningScenario;
+use sim_core::time::{SimDuration, SimTime};
 
 use crate::inject::{Fault, InjectConfig};
+use crate::prefix::Groups;
 use crate::spec::OrchSpec;
 use crate::wire::{encode, Frame};
 
 /// Sim-time window between heartbeats: small enough that a handful of
 /// windows fit even the shortest smoke flight, large enough that the
 /// leap executor still skips quiescent stretches inside a window.
-pub const HEARTBEAT_WINDOW_MS: u64 = 250;
+/// Shared-prefix branch points fall on its multiples.
+pub const HEARTBEAT_WINDOW: SimDuration = SimDuration::from_millis(250);
+
+/// The flying half of a worker: the grid, its groups, and the snapshot
+/// cache of the group being flown.
+struct Runner {
+    variants: Vec<Variant>,
+    groups: Groups,
+    /// The group the cache belongs to.
+    group: Option<usize>,
+    /// Runs of that group this worker has flown.
+    flown: Vec<usize>,
+    /// Snapshots by branch point.
+    snapshots: BTreeMap<SimTime, RunningScenario>,
+}
+
+impl Runner {
+    fn new(variants: &[Variant]) -> Runner {
+        Runner {
+            variants: variants.to_vec(),
+            groups: Groups::new(variants, HEARTBEAT_WINDOW),
+            group: None,
+            flown: Vec::new(),
+            snapshots: BTreeMap::new(),
+        }
+    }
+
+    /// Flies run `run`, from the deepest usable snapshot, handing out
+    /// the snapshots its siblings need; `progress` sees every window.
+    fn fly(&mut self, run: usize, progress: &mut dyn FnMut(SimTime)) -> CampaignOutcome {
+        let group = self.groups.group_of(run);
+        if self.group != Some(group) {
+            self.group = Some(group);
+            self.flown.clear();
+            self.snapshots.clear();
+        }
+        let variant = &self.variants[run];
+        let from = self.snapshots.values().rev().find_map(|snapshot| {
+            let mut fork = snapshot.clone();
+            fork.set_attacks(variant.config.attacks.clone())
+                .ok()
+                .map(|()| fork)
+        });
+        let flown = &self.flown;
+        let points = self
+            .groups
+            .snapshot_points(run, &self.variants, |s| !flown.contains(&s));
+        let snapshots = &mut self.snapshots;
+        let outcome = run_one_windowed(
+            variant,
+            HEARTBEAT_WINDOW,
+            progress,
+            Fork {
+                from,
+                points: &points,
+                snapshot: Some(&mut |snapshot: RunningScenario| {
+                    snapshots.insert(snapshot.now(), snapshot);
+                }),
+            },
+        );
+        self.flown.push(run);
+        outcome
+    }
+}
 
 /// Runs the worker protocol over this process's stdin/stdout until
 /// `EXIT` or EOF. Returns the process exit code.
@@ -74,8 +150,7 @@ pub fn serve<R: BufRead, W: Write>(
         .map_err(|e| format!("reading {len} spec bytes: {e}"))?;
     let spec_text = String::from_utf8(spec_bytes).map_err(|e| format!("spec not UTF-8: {e}"))?;
     let spec = OrchSpec::parse(&spec_text).map_err(|e| e.to_string())?;
-    let campaign = spec.campaign();
-    let variants = campaign.variants();
+    let mut runner = Runner::new(spec.campaign().variants());
 
     send(
         output,
@@ -104,37 +179,34 @@ pub fn serve<R: BufRead, W: Write>(
         };
         let run: u32 = run.parse().map_err(|e| format!("RUN index: {e}"))?;
         let attempt: u32 = attempt.parse().map_err(|e| format!("RUN attempt: {e}"))?;
-        let variant = variants
-            .get(run as usize)
-            .ok_or_else(|| format!("RUN {run} outside the {}-variant grid", variants.len()))?;
+        let runs = runner.variants.len();
+        if run as usize >= runs {
+            return Err(format!("RUN {run} outside the {runs}-variant grid"));
+        }
 
         let fault = inject.draw(inject_seed, run, attempt);
         let mut window_no = 0u64;
-        let outcome = run_one_windowed(
-            variant,
-            SimDuration::from_millis(HEARTBEAT_WINDOW_MS),
-            &mut |_now| {
-                window_no += 1;
-                if window_no == 1 {
-                    match fault {
-                        // Die exactly as an OOM-kill would: no
-                        // unwinding, no farewell frame.
-                        Some(Fault::Kill) => std::process::abort(),
-                        // Stop making progress; the parent's deadline
-                        // reaps us. Sleep in a loop so a spurious
-                        // wakeup can't resurrect the run.
-                        Some(Fault::Stall) => loop {
-                            std::thread::sleep(std::time::Duration::from_secs(3600));
-                        },
-                        _ => {}
-                    }
+        let outcome = runner.fly(run as usize, &mut |_now| {
+            window_no += 1;
+            if window_no == 1 {
+                match fault {
+                    // Die exactly as an OOM-kill would: no
+                    // unwinding, no farewell frame.
+                    Some(Fault::Kill) => std::process::abort(),
+                    // Stop making progress; the parent's deadline
+                    // reaps us. Sleep in a loop so a spurious
+                    // wakeup can't resurrect the run.
+                    Some(Fault::Stall) => loop {
+                        std::thread::sleep(std::time::Duration::from_secs(3600));
+                    },
+                    _ => {}
                 }
-                // Heartbeats ride stdout between result frames. A
-                // failed write means the parent is gone; dying loudly
-                // here is fine — the run will be retried elsewhere.
-                let _ = send_heartbeat(output, run);
-            },
-        );
+            }
+            // Heartbeats ride stdout between result frames. A
+            // failed write means the parent is gone; dying loudly
+            // here is fine — the run will be retried elsewhere.
+            let _ = send_heartbeat(output, run);
+        });
 
         let mut frame = encode(&Frame::Result {
             run,
@@ -239,6 +311,41 @@ mod tests {
             }
         };
         assert!(matches!(err, crate::wire::WireError::Checksum { .. }));
+    }
+
+    #[test]
+    fn a_group_flown_in_reverse_forks_from_its_own_snapshots() {
+        // Two groups (one per seed) of all six attacks, crossing both
+        // onsets. Reverse order flies hog+kill (run 6) before hog
+        // (run 4), so hog must fork from hog+kill's 5.75 s snapshot.
+        let spec = OrchSpec::parse(
+            "duration_ms: 6500\nseeds: 1 2\nattacks: none kill hog hog+kill flood spoof\n",
+        )
+        .expect("spec");
+        let campaign = spec.campaign();
+        let variants = campaign.variants();
+        let mut runner = Runner::new(variants);
+        let bound = runner.groups.branch_points(0, variants).len();
+        assert_eq!(bound, 2);
+        let (early, late) = (SimTime::from_millis(2750), SimTime::from_millis(5750));
+        for run in [10, 8, 6, 4, 2, 0] {
+            let outcome = runner.fly(run, &mut |_| {});
+            let reference = cd_bench::campaign::run_one(&variants[run]);
+            assert_eq!(
+                outcome.jsonl_record(),
+                reference.jsonl_record(),
+                "run {run}"
+            );
+            assert!(runner.snapshots.len() <= bound, "run {run}");
+            if run == 6 {
+                let held: Vec<SimTime> = runner.snapshots.keys().copied().collect();
+                assert_eq!(held, [early, late], "hog+kill snapshots for its siblings");
+            }
+        }
+        // A run of the other group drops the first group's snapshots.
+        runner.fly(1, &mut |_| {});
+        let held: Vec<SimTime> = runner.snapshots.keys().copied().collect();
+        assert_eq!(held, [early]);
     }
 
     #[test]

@@ -17,6 +17,11 @@ use cd_orch::{InjectConfig, LedgerError, OrchError, OrchSpec, RetryPolicy, RunOu
 const SPEC: &str =
     "name: it\nduration_ms: 900\nseeds: 1 2\nattacks: none kill\nprotections: stock no-monitor\n";
 
+/// Long enough to cross both attack onsets (3 s and 6 s), so every
+/// attack fires and workers fork siblings from shared-prefix snapshots.
+const ATTACK_SPEC: &str = "name: fork\nduration_ms: 6500\nseeds: 1 2\n\
+    attacks: none kill hog hog+kill flood spoof\nprotections: stock bare\n";
+
 fn worker_exe() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_cd-orch"))
 }
@@ -39,67 +44,75 @@ fn opts(tag: &str, spec: &str) -> OrchOptions {
 
 #[test]
 fn merged_stream_is_byte_identical_across_worker_counts() {
-    let reference = orchestrator::reference_bytes(SPEC).expect("reference");
-    assert!(!reference.is_empty());
-    // The merged wire format must carry the executor's leap counter, and
-    // worker runs must actually leap — a zero here is the PR-9 reporting
-    // bug (orchestrated rows always claimed quanta_leaped: 0) coming
-    // back.
-    let text = String::from_utf8(reference.clone()).expect("utf8");
-    assert!(
-        text.lines().all(|l| l.contains("\"quanta_leaped\":")),
-        "every merged record must report quanta_leaped: {text}"
-    );
-    assert!(
-        text.lines().any(|l| !l.contains("\"quanta_leaped\":0,")),
-        "orchestrated runs must leap somewhere in the sweep: {text}"
-    );
-    for workers in [1usize, 2, 8] {
-        let mut o = opts(&format!("wc{workers}"), SPEC);
-        o.workers = workers;
-        let summary = orchestrator::run(&o).expect("orchestrate");
-        assert_eq!(summary.runs, 8);
-        assert_eq!(summary.completed, 8);
-        assert_eq!(summary.failed, 0);
-        let merged = std::fs::read(&o.out).expect("merged");
-        assert_eq!(
-            merged, reference,
-            "workers={workers}: merged stream diverged from the in-process reference"
+    for (tag, spec) in [("wc", SPEC), ("wc-attack", ATTACK_SPEC)] {
+        let runs = OrchSpec::parse(spec).expect("spec").len();
+        let reference = orchestrator::reference_bytes(spec).expect("reference");
+        assert!(!reference.is_empty());
+        // The merged wire format must carry the executor's leap counter,
+        // and worker runs must actually leap — a zero here is the old
+        // reporting bug (orchestrated rows always claimed
+        // quanta_leaped: 0) coming back.
+        let text = String::from_utf8(reference.clone()).expect("utf8");
+        assert!(
+            text.lines().all(|l| l.contains("\"quanta_leaped\":")),
+            "every merged record must report quanta_leaped: {text}"
         );
+        assert!(
+            text.lines().any(|l| !l.contains("\"quanta_leaped\":0,")),
+            "orchestrated runs must leap somewhere in the sweep: {text}"
+        );
+        for workers in [1usize, 2, 8] {
+            let mut o = opts(&format!("{tag}{workers}"), spec);
+            o.workers = workers;
+            let summary = orchestrator::run(&o).expect("orchestrate");
+            assert_eq!(summary.runs, runs);
+            assert_eq!(summary.completed, runs);
+            assert_eq!(summary.failed, 0);
+            let merged = std::fs::read(&o.out).expect("merged");
+            assert_eq!(
+                merged, reference,
+                "{tag}, workers={workers}: merged stream diverged from the in-process reference"
+            );
+        }
     }
 }
 
 #[test]
 fn injected_faults_change_nothing_but_the_retry_count() {
-    let reference = orchestrator::reference_bytes(SPEC).expect("reference");
-    let mut o = opts("inject", SPEC);
-    o.workers = 4;
-    o.inject = InjectConfig::parse("kill:0.4,stall:0.1,garbage:0.1").expect("inject");
-    o.inject_seed = 2019;
-    o.deadline_ms = 3000; // stalls are reaped by this deadline
-                          // The deterministic schedule for seed 2019 has a 12-deep fault
-                          // streak on one run; 16 attempts lets every run clear.
-    o.policy = RetryPolicy {
-        max_attempts: 16,
-        base_delay_ms: 5,
-        cap_delay_ms: 50,
-    };
-    let summary = orchestrator::run(&o).expect("orchestrate");
-    assert_eq!(
-        summary.completed, 8,
-        "faults must be survived, not reported"
-    );
-    assert_eq!(summary.failed, 0);
-    assert!(
-        summary.retries > 0,
-        "a 0.6 per-attempt fault rate over 8 runs must trigger retries"
-    );
-    assert_eq!(summary.worker_restarts, summary.retries);
-    let merged = std::fs::read(&o.out).expect("merged");
-    assert_eq!(
-        merged, reference,
-        "injected faults leaked into the output bytes"
-    );
+    for (tag, spec) in [("inject", SPEC), ("inject-attack", ATTACK_SPEC)] {
+        let runs = OrchSpec::parse(spec).expect("spec").len();
+        let reference = orchestrator::reference_bytes(spec).expect("reference");
+        let mut o = opts(tag, spec);
+        o.workers = 4;
+        o.inject = InjectConfig::parse("kill:0.4,stall:0.1,garbage:0.1").expect("inject");
+        o.inject_seed = 2019;
+        o.deadline_ms = 3000; // stalls are reaped by this deadline
+                              // The deterministic schedule for seed 2019 has a 12-deep
+                              // fault streak on one run; 16 attempts lets every run clear.
+        o.policy = RetryPolicy {
+            max_attempts: 16,
+            base_delay_ms: 5,
+            cap_delay_ms: 50,
+        };
+        let summary = orchestrator::run(&o).expect("orchestrate");
+        assert_eq!(
+            summary.completed, runs,
+            "{tag}: faults must be survived, not reported"
+        );
+        assert_eq!(summary.failed, 0);
+        assert!(
+            summary.retries > 0,
+            "a 0.6 per-attempt fault rate over {runs} runs must trigger retries"
+        );
+        // Every fault costs its worker; a replacement starts with an
+        // empty snapshot cache and flies its runs from t = 0.
+        assert_eq!(summary.worker_restarts, summary.retries);
+        let merged = std::fs::read(&o.out).expect("merged");
+        assert_eq!(
+            merged, reference,
+            "{tag}: injected faults leaked into the output bytes"
+        );
+    }
 }
 
 #[test]

@@ -52,7 +52,7 @@ pub enum ContainerState {
 }
 
 /// A running container.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Container {
     name: String,
     cgroup: CgroupId,

@@ -52,12 +52,26 @@ pub trait SecurityRule: std::fmt::Debug + Send {
     fn name(&self) -> &str;
     /// Evaluates the rule.
     fn evaluate(&mut self, ctx: &MonitorContext) -> RuleVerdict;
+    /// A deep, independent copy of this rule, boxed — what lets a
+    /// mid-flight run (its monitor included) be cloned and forked. The
+    /// copy must carry every piece of evaluation state (arming times,
+    /// persistence timers), so it returns exactly the verdicts the
+    /// original would have for the same contexts, and evaluating one
+    /// never affects the other. A `Clone` rule implements it as
+    /// `Box::new(self.clone())`.
+    fn clone_box(&self) -> Box<dyn SecurityRule>;
+}
+
+impl Clone for Box<dyn SecurityRule> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
 }
 
 /// Rule 1 (§III-E): "The interval between two consecutive output received
 /// by the HCE should not be longer than a threshold. A long interval
 /// suggests the complex controller may have failed."
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ReceiveIntervalRule {
     threshold: SimDuration,
     armed_at: Option<SimTime>,
@@ -76,6 +90,10 @@ impl ReceiveIntervalRule {
 impl SecurityRule for ReceiveIntervalRule {
     fn name(&self) -> &str {
         "receive-interval"
+    }
+
+    fn clone_box(&self) -> Box<dyn SecurityRule> {
+        Box::new(self.clone())
     }
 
     fn evaluate(&mut self, ctx: &MonitorContext) -> RuleVerdict {
@@ -104,7 +122,7 @@ impl SecurityRule for ReceiveIntervalRule {
 /// Rule 2 (§III-E): "The attitude (i.e., roll, pitch, and yaw) errors
 /// should be bounded at all time … Large errors suggest the drone is in a
 /// dangerous state and might crash."
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AttitudeErrorRule {
     max_error: f64,
     persistence: SimDuration,
@@ -127,6 +145,10 @@ impl AttitudeErrorRule {
 impl SecurityRule for AttitudeErrorRule {
     fn name(&self) -> &str {
         "attitude-error"
+    }
+
+    fn clone_box(&self) -> Box<dyn SecurityRule> {
+        Box::new(self.clone())
     }
 
     fn evaluate(&mut self, ctx: &MonitorContext) -> RuleVerdict {
@@ -177,7 +199,7 @@ pub struct MonitorEvent {
 /// assert!(mon.evaluate(&ctx)); // violation -> switch demanded
 /// assert_eq!(mon.source(), OutputSource::Safety);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SecurityMonitor {
     rules: Vec<Box<dyn SecurityRule>>,
     source: OutputSource,
@@ -331,7 +353,7 @@ mod tests {
 
     #[test]
     fn custom_rules_participate() {
-        #[derive(Debug)]
+        #[derive(Debug, Clone)]
         struct AlwaysTrip;
         impl SecurityRule for AlwaysTrip {
             fn name(&self) -> &str {
@@ -339,6 +361,9 @@ mod tests {
             }
             fn evaluate(&mut self, _: &MonitorContext) -> RuleVerdict {
                 RuleVerdict::Violation("tripped".into())
+            }
+            fn clone_box(&self) -> Box<dyn SecurityRule> {
+                Box::new(self.clone())
             }
         }
         let mut mon = SecurityMonitor::with_rules(vec![Box::new(AlwaysTrip)]);

@@ -24,6 +24,7 @@ use super::Runtime;
 
 /// Task ids of the spawned framework task set (fields are `None` when the
 /// scenario's pilot mode or protections leave that task unspawned).
+#[derive(Clone)]
 pub struct TaskIds {
     /// HCE sensor driver (always present).
     pub sensor_driver: TaskId,

@@ -41,7 +41,7 @@ pub mod hce;
 pub mod report;
 
 use attacks::driver::AttackDriver;
-use attacks::script::ScriptEntry;
+use attacks::script::{AttackScript, ScriptEntry};
 use autopilot::controller::FlightController;
 use cd_obs::{emit, ObsPort, TraceKind};
 use container_rt::container::Container;
@@ -59,6 +59,7 @@ use crate::scenario::ScenarioConfig;
 use crate::telemetry::FlightRecorder;
 
 pub use assembly::TaskIds;
+pub use attack::ScriptMismatch;
 pub use report::{ScenarioResult, StreamReport};
 
 // `SpanEnd` is defined next to `VehicleInstance` below; both are part of
@@ -130,6 +131,20 @@ impl Scenario {
 /// let result = run.finish();
 /// assert!(!result.crashed());
 /// ```
+///
+/// # Forking
+///
+/// A running scenario is `Clone`: the copy owns its own network,
+/// machine, physics, monitor and armed attacks, and steps on exactly as
+/// the original would. Together with [`RunningScenario::set_attacks`]
+/// this lets variants that differ only in their attack timelines share
+/// the flight before the timelines diverge: fly the shared prefix once,
+/// clone it, swap each sibling's script in, and finish each clone. The
+/// results are byte-identical to flying every variant from t = 0 when
+/// the fork point is a boundary the unforked runs stop at too. An extra
+/// stop never changes the flight, but on a live flood span it can move
+/// the `quanta_leaped` counter.
+#[derive(Clone)]
 pub struct RunningScenario {
     net: Network,
     vehicle: VehicleInstance,
@@ -214,6 +229,21 @@ impl RunningScenario {
         &mut self.vehicle
     }
 
+    /// Replaces the run's attack timeline with `script`, for forking a
+    /// snapshot into a sibling variant (see *Forking* above).
+    ///
+    /// Only the not-yet-fired tail changes. The swap is refused, leaving
+    /// the run untouched, unless the entries this run has fired so far
+    /// are exactly the entries a run of `script` would have fired by
+    /// now. Accepted, the run is in the state a flight of `script` from
+    /// t = 0 would be in, because nothing reads a timeline entry before
+    /// it fires (see the invariant on the runtime's `script` field); the
+    /// result's config and attack onset are `script`'s too.
+    pub fn set_attacks(&mut self, script: AttackScript) -> Result<(), ScriptMismatch> {
+        let now = self.vehicle.now();
+        self.vehicle.rt.set_attacks(script, now)
+    }
+
     /// Selects the network delivery path: `true` (the default) settles
     /// flood spans in closed form, `false` (`--no-bulk`) replays them
     /// packet-by-packet. Byte-identical results either way — the bulk
@@ -240,6 +270,7 @@ impl RunningScenario {
 ///
 /// With a single vehicle this is byte-for-byte the classic
 /// [`RunningScenario::step`]; the fleet equivalence test pins that.
+#[derive(Clone)]
 pub struct VehicleInstance {
     rt: Runtime,
     end: SimTime,
@@ -763,6 +794,7 @@ pub enum SpanEnd {
 /// [`VehicleInstance::advance`], torn down into a [`ScenarioResult`] by
 /// [`report`]. Deliberately network-free: every method that touches the
 /// wire borrows the (possibly shared) [`Network`].
+#[derive(Clone)]
 pub(crate) struct Runtime {
     pub(crate) cfg: ScenarioConfig,
     pub(crate) world: World,
@@ -799,6 +831,17 @@ pub(crate) struct Runtime {
     pub(crate) rc_counter: StreamCounter,
     pub(crate) motor_counter: StreamCounter,
     // Attack-timeline state.
+    //
+    // Invariant — what makes a run forkable: nothing reads an entry of
+    // `script` before it fires, except the span clamp. `step_attacks`
+    // reads an entry only to fire it; the clamp in
+    // `VehicleInstance::span_target_base` reads the next unfired entry
+    // only to end a leap span at its onset boundary, which lies ahead of
+    // every boundary the run has passed. So two runs whose scripts agree
+    // on every entry fired so far are in the same state, and
+    // `RunningScenario::set_attacks` may swap the unfired tail. The
+    // fork-equivalence test in `cd-orch` pins this for every attack ×
+    // protection pair of the orchestrator's spec vocabulary.
     pub(crate) script: Vec<ScriptEntry>,
     pub(crate) script_cursor: usize,
     pub(crate) armed: Vec<Box<dyn AttackDriver>>,

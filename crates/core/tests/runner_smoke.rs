@@ -132,3 +132,33 @@ fn determinism_holds_for_short_runs_too() {
     let b = short(ScenarioConfig::healthy());
     assert_eq!(a.telemetry.to_csv(), b.telemetry.to_csv());
 }
+
+#[test]
+fn set_attacks_swaps_only_the_unfired_tail() {
+    let kill_at =
+        |ms: u64| AttackScript::single(SimTime::from_millis(ms), AttackEvent::KillComplex);
+    let mut fork =
+        Scenario::new(ScenarioConfig::healthy().with_duration(SimDuration::from_secs(3))).start();
+    // At t = 0 nothing has fired, not even an entry due at 0.
+    assert!(fork.clone().set_attacks(kill_at(0)).is_ok());
+    fork.advance_to_leap(SimTime::from_millis(500));
+    // Due by now but never fired: refused, and the run is untouched.
+    let refused = fork.set_attacks(kill_at(200)).expect_err("due, unfired");
+    assert_eq!((refused.now, refused.entry), (SimTime::from_millis(500), 0));
+    // Still ahead: accepted. The fork then finishes exactly as the kill
+    // variant flown from t = 0.
+    fork.set_attacks(kill_at(1500)).expect("unfired tail");
+    let forked = fork.run_to_end();
+    let mut kill = ScenarioConfig::healthy();
+    kill.attacks = kill_at(1500);
+    let fresh = short(kill);
+    assert_eq!(forked.config, fresh.config);
+    assert_eq!(forked.attack_onset, Some(SimTime::from_millis(1500)));
+    assert_eq!(forked.attack_log, fresh.attack_log);
+    assert_eq!(forked.switch_time, fresh.switch_time);
+    assert_eq!(forked.telemetry.to_csv(), fresh.telemetry.to_csv());
+    assert_eq!(
+        (forked.sim_steps, forked.quanta_leaped),
+        (fresh.sim_steps, fresh.quanta_leaped)
+    );
+}

@@ -75,7 +75,7 @@ impl Default for AttackerConfig {
 /// ([`FloodEmitter`]). No victim container hosts it, so there is no
 /// flooder task to kill — the process lives on the attacker's own
 /// machine and `halt` just silences the emitter.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ExternalFlood {
     name: &'static str,
     emitter: FloodEmitter,
@@ -84,6 +84,10 @@ struct ExternalFlood {
 impl AttackDriver for ExternalFlood {
     fn name(&self) -> &'static str {
         self.name
+    }
+
+    fn clone_box(&self) -> Box<dyn AttackDriver> {
+        Box::new(self.clone())
     }
 
     fn step(&mut self, net: &mut Network, now: SimTime, dt: SimDuration) {

@@ -185,7 +185,7 @@ pub struct Delivery {
     pub count: usize,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Socket {
     addr: Addr,
     rx: VecDeque<Packet>,
@@ -202,7 +202,7 @@ struct Socket {
 /// arrivals form an arithmetic progression (one serialisation time apart),
 /// so enqueueing is O(1) per quantum instead of O(1) per packet, and the
 /// queue holds one entry where it used to hold hundreds.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Queued {
     /// An individually sent packet, delivered at `arrival`.
     One { arrival: SimTime, pkt: Packet },
@@ -266,14 +266,14 @@ impl Queued {
 /// One direction of a link: the transmit queue plus its serialiser state.
 /// `queued_packets` counts *packets* (a burst entry counts as its
 /// `remaining`), which is what the queue capacity limits.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct LinkDir {
     queue: VecDeque<Queued>,
     tx_free: SimTime,
     queued_packets: usize,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Link {
     a: NsId,
     b: NsId,
@@ -510,6 +510,12 @@ impl Link {
 
 /// The whole virtual network.
 ///
+/// `Clone` copies every queue, socket, token bucket and scratch buffer,
+/// so a clone steps on exactly as the original would. Two things are
+/// shared rather than copied: flood payloads (`Arc<[u8]>`, immutable)
+/// and any attached [`NetCounters`] (their atomics aggregate across
+/// clones, as they do across a fleet's networks).
+///
 /// # Examples
 ///
 /// ```
@@ -526,7 +532,7 @@ impl Link {
 /// net.step(SimTime::from_millis(1));
 /// assert!(net.recv(rx).is_some());
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Network {
     namespaces: Vec<String>,
     sockets: Vec<Socket>,

@@ -17,7 +17,9 @@ use containerdrone::sim::time::SimTime;
 
 /// Trips when no valid CCE output arrives for `threshold_ms` — like the
 /// stock rule but twice as aggressive, as a deployment might tune it.
-#[derive(Debug)]
+/// `Clone`, so `clone_box` (which lets a mid-flight run, monitor
+/// included, be snapshotted and forked) is a one-liner.
+#[derive(Debug, Clone)]
 struct FastSilenceRule {
     threshold_ms: u64,
 }
@@ -37,6 +39,10 @@ impl SecurityRule for FastSilenceRule {
         } else {
             RuleVerdict::Ok
         }
+    }
+
+    fn clone_box(&self) -> Box<dyn SecurityRule> {
+        Box::new(self.clone())
     }
 }
 
